@@ -27,8 +27,8 @@ def main() -> None:
           f"asymptotic variance = {rep.asymptotic_variance:.4f}")
     print(f"squeezed? {rep.is_squeezed}")
 
-    # roundoff can leave the ground state a hair under 0.5, which can trip
-    # the library's efficiency-above-1 warning; the verdict stays classical
+    # roundoff can leave the ground state a hair under 0.5, so its efficiency
+    # can read just above 1; the verdict stays classical
     print()
     ground = quantify(fock_density(0), DistillConfig(layers=3))
     print(f"ground state, N=3: min_var = {ground.min_variance:.6f}, "

@@ -7,123 +7,19 @@ filter; variance below 1/2 anywhere in that pipeline certifies nonclassical
 structure of the input.
 """
 
-from .density import (
-    GridDensity,
-    GridSpec,
-    MaximumLocation,
-    convolve_gaussian,
-    curvature_at,
-    global_maxima,
-    make_grid_density,
-    mean,
-    pow_scale,
-    read_density_csv,
-    shift,
-    variance,
-    write_density_csv,
-)
-from .depth import (
-    DepthResult,
-    fano_depth,
-    subplanck_depth,
-    thermal_fock_number_distribution,
-    thermal_fock_wigner_origin,
-    wigner_negativity_depth,
-)
-from .distill import (
-    GROUND_VARIANCE,
-    DistillConfig,
-    DistillReport,
-    asymptotic_variance,
-    binary_sequence_distill,
-    displace_to_origin,
-    efficiency,
-    filter_with_ground_state,
-    nonuniversal_layer,
-    optimize_filter,
-    quantify,
-    universal_distill,
-)
-from .errors import ConfigError, PreconditionError, QuantifierError, SolverError
-from .oracle import ProtocolRun, ks_distance, sample_density, simulate_protocol
-from .phonon import (
-    PhononDistribution,
-    PopulationFit,
-    RabiModel,
-    fit_populations,
-    phonon_stats,
-    rabi_signal,
-    read_rabi_csv,
-)
-from .states import (
-    StateSpec,
-    airy_ai,
-    cat_momentum_density,
-    cubic_momentum_density,
-    default_grid,
-    fock_density,
-    fock_mixture_density,
-    gkp_position_density,
-    realize,
-)
+from . import density, depth, distill, errors, oracle, phonon, states
+from .density import *  # noqa: F401,F403
+from .depth import *  # noqa: F401,F403
+from .distill import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .phonon import *  # noqa: F401,F403
+from .states import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "GridDensity",
-    "GridSpec",
-    "MaximumLocation",
-    "convolve_gaussian",
-    "curvature_at",
-    "global_maxima",
-    "make_grid_density",
-    "mean",
-    "pow_scale",
-    "read_density_csv",
-    "shift",
-    "variance",
-    "write_density_csv",
-    "StateSpec",
-    "airy_ai",
-    "cat_momentum_density",
-    "cubic_momentum_density",
-    "default_grid",
-    "fock_density",
-    "fock_mixture_density",
-    "gkp_position_density",
-    "realize",
-    "GROUND_VARIANCE",
-    "DistillConfig",
-    "DistillReport",
-    "asymptotic_variance",
-    "binary_sequence_distill",
-    "displace_to_origin",
-    "efficiency",
-    "filter_with_ground_state",
-    "nonuniversal_layer",
-    "optimize_filter",
-    "quantify",
-    "universal_distill",
-    "DepthResult",
-    "fano_depth",
-    "subplanck_depth",
-    "thermal_fock_number_distribution",
-    "thermal_fock_wigner_origin",
-    "wigner_negativity_depth",
-    "PhononDistribution",
-    "PopulationFit",
-    "RabiModel",
-    "fit_populations",
-    "phonon_stats",
-    "rabi_signal",
-    "read_rabi_csv",
-    "ProtocolRun",
-    "ks_distance",
-    "sample_density",
-    "simulate_protocol",
-    "QuantifierError",
-    "ConfigError",
-    "PreconditionError",
-    "SolverError",
+__all__ = ["__version__"] + [
+    name
+    for module in (density, states, distill, depth, phonon, oracle, errors)
+    for name in module.__all__
 ]

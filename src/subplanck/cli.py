@@ -3,13 +3,14 @@
 Every run is driven by a JSON config file plus a handful of override flags,
 and (config, seed) determines each output byte for byte: JSON fields are
 emitted in fixed order with 12 significant digits, CSV rows in sweep-parameter
-order regardless of worker scheduling.
+order.
 
 All quadratures are in units where the ground-state variance is 1/2.  No unit
 conversion happens anywhere in this tool; rescale external homodyne data
 before ingesting it.
 
-Exit codes: 0 success, 2 config error, 3 precondition/numeric error,
+Exit codes: 0 success, 2 config error (including an unreadable input file),
+3 precondition/numeric error (including a malformed input CSV row),
 4 solver failure.
 """
 
@@ -19,7 +20,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +138,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     for name, allowed in (
         ("oracle", ("eps", "batches", "batch_size", "samples_csv")),
-        ("sweep", ("parameter", "values", "workers", "with_depth")),
+        ("sweep", ("parameter", "values", "with_depth")),
         ("depth", ("witness", "asymptotic")),
     ):
         _check_keys(raw.get(name, {}), allowed, name)
@@ -316,26 +316,24 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     if not values:
         raise ConfigError("sweep needs a nonempty list of values")
     values = sorted(float(v) for v in values)
-    workers = int(args.workers or cfg.sweep.get("workers", 1))
     with_depth = bool(cfg.sweep.get("with_depth", False))
+    if with_depth and parameter == "nbar":
+        # the depth is itself an occupation; each point would already be thermal
+        raise ConfigError("with_depth cannot be combined with an nbar sweep")
 
-    def run_point(value: float) -> tuple[float, dict | str]:
+    def run_point(value: float) -> dict | str:
+        # a ConfigError is the same at every point, so it ends the sweep
         try:
-            return value, _sweep_point(cfg, parameter, value, with_depth)
-        except (QuantifierError, ValueError) as exc:
-            return value, f"{type(exc).__name__}: {exc}"
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, values))
-    else:
-        results = [run_point(v) for v in values]
+            return _sweep_point(cfg, parameter, value, with_depth)
+        except (PreconditionError, SolverError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
 
     columns = ["min_variance", "squeezing_db", "asymptotic_variance", "efficiency"]
     if with_depth:
         columns.append("nbar_star")
     lines = [",".join([parameter] + columns + ["error"])]
-    for value, row in sorted(results, key=lambda item: item[0]):
+    for value in values:
+        row = run_point(value)
         cell = format(value, ".12g")
         if isinstance(row, str):
             lines.append(",".join([cell] + [""] * len(columns) + ['"' + row.replace('"', "'") + '"']))
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--parameter", choices=_SWEEP_PARAMETERS)
     sweep.add_argument("--values", help="comma-separated sweep values")
-    sweep.add_argument("--workers", type=int, help="concurrent sweep workers")
     depth = sub.add_parser(
         "depth", parents=[common], help="solve for the critical thermal occupation"
     )
@@ -430,7 +427,6 @@ def main(argv: list[str] | None = None) -> int:
         "asymptotic",
         "parameter",
         "values",
-        "workers",
     ):
         if not hasattr(args, name):
             setattr(args, name, None)

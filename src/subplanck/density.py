@@ -20,12 +20,14 @@ import numpy as np
 import scipy.fft
 
 from .errors import (
+    ConfigError,
     DegenerateResult,
     InsufficientSupport,
     NegativeDensity,
     NoInteriorMaximum,
     NonUniformGrid,
     NotPowerOfTwo,
+    PreconditionError,
     TooFewPoints,
     WindowOutOfRange,
     ZeroMass,
@@ -36,7 +38,6 @@ __all__ = [
     "GridDensity",
     "MaximumLocation",
     "make_grid_density",
-    "from_log_values",
     "mean",
     "variance",
     "global_maxima",
@@ -44,10 +45,8 @@ __all__ = [
     "convolve_gaussian",
     "pow_scale",
     "shift",
-    "log_interp",
     "read_density_csv",
     "write_density_csv",
-    "MIN_NODES",
 ]
 
 MIN_NODES = 64
@@ -343,24 +342,43 @@ def log_interp(d: GridDensity, xq: np.ndarray) -> np.ndarray:
     return out
 
 
+def read_two_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the first two columns of a CSV file as floats.
+
+    Blank lines and unparseable lines before the first data row (a header)
+    are skipped.  Raises :class:`ConfigError` when the file cannot be read
+    and :class:`PreconditionError` naming the line when a later row is not
+    two numbers.
+    """
+    first: list[float] = []
+    second: list[float] = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if not row or not row[0].strip():
+                    continue
+                try:
+                    a = float(row[0])
+                    b = float(row[1])
+                except (ValueError, IndexError) as exc:
+                    if not first:  # header line
+                        continue
+                    raise PreconditionError(
+                        f"{path}, line {reader.line_num}: expected two numbers, "
+                        f"got {row!r}"
+                    ) from exc
+                first.append(a)
+                second.append(b)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return np.array(first), np.array(second)
+
+
 def read_density_csv(path: str) -> GridDensity:
     """Load ``x,density`` rows (header optional) into a normalized density."""
-    xs: list[float] = []
-    ps: list[float] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            try:
-                x = float(row[0])
-                p = float(row[1])
-            except (ValueError, IndexError):
-                if not xs:  # header line
-                    continue
-                raise
-            xs.append(x)
-            ps.append(p)
-    return make_grid_density(np.array(xs), np.array(ps), meta=path)
+    xs, ps = read_two_columns(path)
+    return make_grid_density(xs, ps, meta=path)
 
 
 def write_density_csv(d: GridDensity, path: str) -> None:

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .distill import DistillConfig, asymptotic_variance, quantify, GROUND_VARIANCE
+from .distill import (
+    GROUND_VARIANCE,
+    DistillConfig,
+    asymptotic_variance,
+    golden_section,
+    quantify,
+)
 from .errors import (
     CutoffTooSmall,
     NoRootInBracket,
@@ -38,7 +44,6 @@ _SUBPLANCK_BRACKET = (0.0, 2.0)
 _SUBPLANCK_TOL = 1e-3
 _WIGNER_TOL = 1e-6
 _FANO_TOL = 1e-4
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -149,21 +154,7 @@ def wigner_negativity_depth(n: int) -> DepthResult:
         root, bracket, iterations = _bisect(f, lo, hi, f(lo), f(hi), _WIGNER_TOL)
         return DepthResult(root, bracket, "wigner-negativity", iterations)
     f = lambda nb: abs(thermal_fock_wigner_origin(n, nb))
-    a, b = lo, hi
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while (b - a) > _WIGNER_TOL:
-        iterations += 1
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_PHI
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_PHI
-            fd = f(d)
+    (a, b), _, iterations = golden_section(f, lo, hi, _WIGNER_TOL)
     root = 0.5 * (a + b)
     if f(root) > 1e-9:
         raise NoRootInBracket("origin Wigner value never vanishes in (0, 1)")

@@ -9,7 +9,6 @@ value over curvature at the maximum.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -47,8 +46,6 @@ __all__ = [
     "GROUND_VARIANCE",
 ]
 
-log = logging.getLogger(__name__)
-
 GROUND_VARIANCE = 0.5
 
 # Variances this close to the ground level count as unsqueezed; trapezoid
@@ -81,7 +78,6 @@ class DistillConfig:
     prelayer_xbar: float = 0.0
     max_rel_tol: float = 1e-3
     transmissivity_grid: int = 64
-    filter_exponent: str = "derived"
 
     def validate(self) -> None:
         if not 0 <= self.layers <= _MAX_LAYERS:
@@ -96,8 +92,6 @@ class DistillConfig:
             raise ValueError("max_rel_tol must lie in (0, 1)")
         if self.transmissivity_grid < 8:
             raise ValueError("transmissivity grid needs at least 8 points")
-        if self.filter_exponent not in ("derived", "literal"):
-            raise ValueError("filter_exponent must be 'derived' or 'literal'")
 
 
 @dataclass(frozen=True)
@@ -194,21 +188,15 @@ def displace_to_origin(
     return shift(q, -chosen.a), chosen
 
 
-def filter_with_ground_state(
-    q: GridDensity, transmissivity: float, exponent: str = "derived"
-) -> GridDensity:
+def filter_with_ground_state(q: GridDensity, transmissivity: float) -> GridDensity:
     """Interfere with a ground-state ancilla and condition the tap on zero.
 
-    Output density is proportional to Q(sqrt(T) x) exp(-(1-T) x^2).  With
-    ``exponent='literal'`` the Gaussian weight uses sqrt(1-T) in place of
-    1-T, reproducing a printed variant kept for comparison only.
+    Output density is proportional to Q(sqrt(T) x) exp(-(1-T) x^2).
     """
     t = float(transmissivity)
     if not 0.0 < t <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
-    if exponent not in ("derived", "literal"):
-        raise ValueError("exponent must be 'derived' or 'literal'")
-    weight = (1.0 - t) if exponent == "derived" else math.sqrt(1.0 - t)
+    weight = 1.0 - t
     rt = math.sqrt(t)
     lo = q.x_min / rt
     hi = q.x_max / rt
@@ -227,13 +215,19 @@ def filter_with_ground_state(
     return from_log_values(lo, step, log_new, q.meta)
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b] to bracket width tol."""
+def golden_section(f, a: float, b: float, tol: float):
+    """Golden-section minimum of f on [a, b] down to bracket width tol.
+
+    Returns ``((a, b), (x, f(x)), iterations)``: the final bracket, the
+    better of its two interior points, and the number of bracket shrinks.
+    """
     c = b - (b - a) * _INV_PHI
     d = a + (b - a) * _INV_PHI
     fc = f(c)
     fd = f(d)
+    iterations = 0
     while (b - a) > tol:
+        iterations += 1
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INV_PHI
@@ -242,7 +236,7 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INV_PHI
             fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+    return (a, b), ((c, fc) if fc < fd else (d, fd)), iterations
 
 
 def optimize_filter(
@@ -255,17 +249,16 @@ def optimize_filter(
     Returns ``(T_opt, min_variance)``.
     """
     cfg = cfg or DistillConfig()
-    exponent = cfg.filter_exponent
 
     def objective(t: float) -> float:
-        return variance(filter_with_ground_state(q, t, exponent))
+        return variance(filter_with_ground_state(q, t))
 
     ts = np.geomspace(1e-4, 1.0, cfg.transmissivity_grid)
     vs = np.array([objective(t) for t in ts])
     k = int(np.argmin(vs))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, ts.shape[0] - 1)]
-    best_t, best_v = _golden_min(objective, float(lo), float(hi), 1e-5)
+    _, (best_t, best_v), _ = golden_section(objective, float(lo), float(hi), 1e-5)
     # keep exact endpoints competitive with the refined interior point
     for t_cand, v_cand in ((float(ts[k]), float(vs[k])), (1.0, float(vs[-1]))):
         if v_cand < best_v:
@@ -288,10 +281,7 @@ def efficiency(asymptotic: float, achieved: float) -> float:
     """Ratio of the many-copy variance limit to the achieved variance."""
     if not (asymptotic > 0.0 and achieved > 0.0):
         raise NonPositiveVariance("variances must be positive")
-    eta = asymptotic / achieved
-    if eta > 1.0 + 1e-6:
-        log.warning("efficiency %.6f exceeds 1: achieved variance beats the limit", eta)
-    return eta
+    return asymptotic / achieved
 
 
 def quantify(p: GridDensity, cfg: DistillConfig | None = None) -> DistillReport:
@@ -313,7 +303,7 @@ def quantify(p: GridDensity, cfg: DistillConfig | None = None) -> DistillReport:
         distilled = universal_distill(work, cfg.layers)
     recentered, maximum = displace_to_origin(distilled, cfg.max_rel_tol)
     t_opt, min_var = optimize_filter(recentered, cfg)
-    out = filter_with_ground_state(recentered, t_opt, cfg.filter_exponent)
+    out = filter_with_ground_state(recentered, t_opt)
     return DistillReport(
         output=out,
         maximum=maximum,

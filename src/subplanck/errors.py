@@ -6,13 +6,15 @@ marks an iterative routine that ran but could not reach its goal, and
 front end maps these onto distinct exit codes.
 """
 
+__all__ = ["QuantifierError", "ConfigError", "PreconditionError", "SolverError"]
+
 
 class QuantifierError(Exception):
     """Base class for every error raised by this package."""
 
 
 class ConfigError(QuantifierError):
-    """Run configuration is malformed or self-contradictory."""
+    """Run configuration is malformed, self-contradictory or names an unreadable file."""
 
 
 class PreconditionError(QuantifierError, ValueError):

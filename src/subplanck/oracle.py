@@ -24,7 +24,6 @@ __all__ = [
     "sample_density",
     "simulate_protocol",
     "ks_distance",
-    "MAX_PROTOCOL_LAYERS",
 ]
 
 MAX_PROTOCOL_LAYERS = 4

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import eval_genlaguerre
 
+from .density import read_two_columns
 from .errors import FitDiverged, InsufficientData, InvalidPopulations
 
 __all__ = [
@@ -22,7 +23,6 @@ __all__ = [
     "RabiModel",
     "PopulationFit",
     "phonon_stats",
-    "rabi_frequencies",
     "rabi_signal",
     "fit_populations",
     "read_rabi_csv",
@@ -90,9 +90,8 @@ class PopulationFit:
     restarts: int
 
 
-def phonon_stats(populations: np.ndarray) -> PhononDistribution:
-    """Summary statistics of a normalized population vector."""
-    p = np.asarray(populations, dtype=float)
+def check_populations(p: np.ndarray) -> np.ndarray:
+    """Return ``p`` if it is a nonempty, nonnegative vector summing to 1."""
     if p.ndim != 1 or p.shape[0] == 0:
         raise InvalidPopulations("populations must be a nonempty 1D vector")
     if np.isnan(p).any() or np.any(p < 0.0):
@@ -100,6 +99,12 @@ def phonon_stats(populations: np.ndarray) -> PhononDistribution:
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise InvalidPopulations(f"populations sum to {total!r}, not 1")
+    return p
+
+
+def phonon_stats(populations: np.ndarray) -> PhononDistribution:
+    """Summary statistics of a normalized population vector."""
+    p = check_populations(np.asarray(populations, dtype=float))
     ns = np.arange(p.shape[0])
     mean = float(np.dot(ns, p))
     var = float(np.dot(ns * ns, p)) - mean * mean
@@ -133,19 +138,14 @@ def rabi_signal(
             f"expected {model.n_max + 1} populations, got {p.shape[0]}"
         )
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    omega = rabi_frequencies(model)
-    ns = np.arange(model.n_max + 1)
-    phases = 0.5 * omega[None, :] * ts[:, None]
-    damp = np.exp(
-        -model.gamma_decay * ts[:, None] * (ns[None, :] + 1.0) ** model.decay_exponent
-    )
-    signal = (np.sin(phases) ** 2 * damp) @ p
+    signal = _design_matrix(model, ts) @ p
     if np.ndim(t) == 0:
         return float(signal[0])
     return signal
 
 
 def _design_matrix(model: RabiModel, ts: np.ndarray) -> np.ndarray:
+    """Per-population excited-state signal: rows are times, columns n."""
     omega = rabi_frequencies(model)
     ns = np.arange(model.n_max + 1)
     phases = 0.5 * omega[None, :] * ts[:, None]
@@ -218,21 +218,4 @@ def fit_populations(
 
 def read_rabi_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load ``t_seconds,p_excited`` rows (header optional)."""
-    import csv
-
-    ts: list[float] = []
-    pe: list[float] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            try:
-                t = float(row[0])
-                p = float(row[1])
-            except (ValueError, IndexError):
-                if not ts:
-                    continue
-                raise
-            ts.append(t)
-            pe.append(p)
-    return np.asarray(ts), np.asarray(pe)
+    return read_two_columns(path)

@@ -23,10 +23,10 @@ from .errors import (
     InvalidPopulations,
     InvalidStateSpec,
 )
+from .phonon import check_populations
 
 __all__ = [
     "StateSpec",
-    "hermite",
     "airy_ai",
     "fock_density",
     "fock_mixture_density",
@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 _KINDS = ("fock", "mixture", "cat", "gkp", "cubic")
+_DICT_KEYS = (
+    "kind", "n", "populations", "alpha", "delta", "side_peaks", "spacing", "gamma",
+    "nbar", "angle",
+)
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class StateSpec:
         if self.kind == "mixture":
             if not self.populations:
                 raise InvalidPopulations("mixture needs a population vector")
-            _check_populations(np.asarray(self.populations, dtype=float))
+            check_populations(np.asarray(self.populations, dtype=float))
         if self.kind == "cat" and not self.alpha > 0.0:
             raise InvalidStateSpec("cat amplitude alpha must be positive")
         if self.kind == "gkp":
@@ -86,6 +90,9 @@ class StateSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "StateSpec":
+        unknown = set(data) - set(_DICT_KEYS)
+        if unknown:
+            raise InvalidStateSpec(f"unknown state keys: {sorted(unknown)}")
         kind = data.get("kind")
         pops = data.get("populations")
         spec = StateSpec(
@@ -122,32 +129,7 @@ class StateSpec:
         return out
 
 
-def _check_populations(p: np.ndarray) -> np.ndarray:
-    if p.ndim != 1 or p.shape[0] == 0:
-        raise InvalidPopulations("populations must be a nonempty 1D vector")
-    if np.isnan(p).any() or np.any(p < 0.0):
-        raise InvalidPopulations("populations must be nonnegative")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidPopulations(f"populations sum to {total!r}, not 1")
-    return p
-
-
 # --- special functions ------------------------------------------------------
-
-def hermite(n: int, x: np.ndarray | float) -> np.ndarray | float:
-    """Physicists' Hermite polynomial H_n by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("Hermite index must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
-
 
 # Maclaurin branch is used on [_AI_SEAM_NEG, _AI_SEAM_POS]; beyond that the
 # alternating series loses too many digits to cancellation and the asymptotic
@@ -327,7 +309,7 @@ def fock_mixture_density(
     populations: np.ndarray, grid: GridSpec | None = None
 ) -> GridDensity:
     """Position density of an incoherent number-state mixture."""
-    pops = _check_populations(np.asarray(populations, dtype=float))
+    pops = check_populations(np.asarray(populations, dtype=float))
     occupied = np.nonzero(pops > 0.0)[0]
     n_top = int(occupied[-1]) if occupied.size else 0
     if grid is None:

@@ -87,6 +87,27 @@ class TestConfigErrors:
         )
         assert run_cli(["quantify", "--config", cfg], capsys)[0] == 2
 
+    def test_removed_workers_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 1}})
+        args = ["sweep", "--config", cfg, "--parameter", "layers_N", "--values", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--workers", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("sweep", "workers", 2), ("pipeline", "filter_exponent", "literal")],
+    )
+    def test_removed_config_keys(self, tmp_path, capsys, section, key, value):
+        payload = {
+            "state": {"kind": "fock", "n": 1},
+            "sweep": {"parameter": "layers_N", "values": [1]},
+        }
+        payload.setdefault(section, {})[key] = value
+        cfg = write_config(tmp_path, payload)
+        code, _, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 2 and key in err
+
     def test_clashing_output_paths(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -317,16 +338,16 @@ class TestSweepCommand:
         assert bad[0] == "-0.5" and bad[1] == "" and bad[-1] != ""
         assert good[0] == "0.1" and float(good[1]) > 0.0
 
-    def test_flag_overrides_and_workers_agree(self, tmp_path, capsys):
+    def test_flag_overrides(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             {"state": {"kind": "fock", "n": 1}, "pipeline": {"layers": 2}},
         )
-        args = ["sweep", "--config", cfg, "--parameter", "layers_N", "--values", "1,2"]
-        _, serial, _ = run_cli(args, capsys)
-        _, threaded, _ = run_cli(args + ["--workers", "2"], capsys)
-        assert serial == threaded
-        assert serial.splitlines()[0].startswith("layers_N,")
+        args = ["sweep", "--config", cfg, "--parameter", "layers_N", "--values", "2,1"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        first_cells = [line.split(",")[0] for line in out.splitlines()]
+        assert first_cells == ["layers_N", "1", "2"]
 
     def test_with_depth_column(self, tmp_path, capsys):
         cfg = write_config(
@@ -342,6 +363,26 @@ class TestSweepCommand:
         lines = out.splitlines()
         assert lines[0].endswith(",nbar_star,error")
         assert float(lines[1].split(",")[-2]) == pytest.approx(0.25, abs=1e-3)
+
+    def test_nbar_sweep_rejects_depth(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "state": {"kind": "fock", "n": 1},
+                "sweep": {"parameter": "nbar", "values": [0.0, 0.1], "with_depth": True},
+            },
+        )
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "with_depth" in err
+
+    def test_config_error_ends_the_sweep(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        cfg = write_config(tmp_path, {"density_csv": str(missing)})
+        args = ["sweep", "--config", cfg, "--parameter", "layers_N", "--values", "1,2"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert str(missing) in err
 
     def test_table_csv_output_section(self, tmp_path, capsys):
         dest = tmp_path / "table.csv"
@@ -439,6 +480,26 @@ class TestFitPhononsCommand:
         code, _, err = run_cli(["fit-phonons", "--config", cfg], capsys)
         assert code == 4
         assert "solver error" in err
+
+
+class TestInputCsvErrors:
+    @pytest.mark.parametrize("source", ["density_csv", "rabi_csv"])
+    @pytest.mark.parametrize(
+        "content,code,message",
+        [(None, 2, "cannot read"), ("0.0,0.1\nnot-a-number,0.4\n", 3, "line 2")],
+        ids=["missing", "malformed"],
+    )
+    def test_unusable_input_file(self, tmp_path, capsys, source, content, code, message):
+        path = tmp_path / "input.csv"
+        if content is not None:
+            path.write_text(content)
+        payload = {source: str(path)}
+        if source == "rabi_csv":
+            payload["rabi_model"] = {"omega01": 1.0}
+        cfg = write_config(tmp_path, payload)
+        got, out, err = run_cli(["quantify", "--config", cfg], capsys)
+        assert got == code and out == ""
+        assert str(path) in err and message in err
 
 
 def declared_entry_point():

@@ -119,10 +119,6 @@ class TestGroundStateFilter:
         v = variance(filter_with_ground_state(gaussian(sigma2), t))
         assert abs(1.0 / v - (t / sigma2 + 2.0 * (1.0 - t))) <= 1e-6
 
-    def test_literal_exponent_variant(self):
-        v = variance(filter_with_ground_state(gaussian(1.5), 0.4, "literal"))
-        assert abs(1.0 / v - (0.4 / 1.5 + 2.0 * math.sqrt(0.6))) <= 1e-6
-
     def test_vanishing_transmission_returns_ground(self):
         v = variance(filter_with_ground_state(gaussian(2.0), 1e-6))
         assert abs(v - GROUND_VARIANCE) <= 1e-3
@@ -173,10 +169,11 @@ class TestEfficiency:
         with pytest.raises(NonPositiveVariance):
             efficiency(0.3, -1.0)
 
-    def test_super_asymptotic_warns(self, caplog):
-        with caplog.at_level("WARNING", logger="subplanck.distill"):
+    def test_super_asymptotic_is_silent(self, caplog):
+        # a finite-copy pipeline may beat the many-copy limit; that is no fault
+        with caplog.at_level("DEBUG"):
             assert efficiency(0.5, 0.25) == 2.0
-        assert any("exceeds 1" in r.message for r in caplog.records)
+        assert caplog.records == []
 
 
 class TestQuantify:
@@ -222,7 +219,6 @@ class TestQuantify:
             DistillConfig(layers=5, conditioning_xbar=0.2),
             DistillConfig(max_rel_tol=0.0),
             DistillConfig(transmissivity_grid=4),
-            DistillConfig(filter_exponent="squared"),
         ],
     )
     def test_config_validation(self, cfg):

@@ -30,33 +30,10 @@ from subplanck.states import (
     fock_density,
     fock_mixture_density,
     gkp_position_density,
-    hermite,
     realize,
 )
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-class TestHermite:
-    def test_order_zero_is_one(self):
-        xs = np.linspace(-10.0, 10.0, 7)
-        assert np.all(hermite(0, xs) == 1.0)
-
-    def test_h3_at_one(self):
-        assert hermite(3, 1.0) == pytest.approx(-4.0, abs=1e-12)
-
-    def test_h10_at_zero(self):
-        # H_{2m}(0) = (-1)^m (2m)!/m!
-        assert hermite(10, 0.0) == pytest.approx(-30240.0, rel=1e-12)
-
-    def test_three_term_recurrence(self):
-        rng = np.random.default_rng(42)
-        xs = rng.uniform(-10.0, 10.0, 64)
-        for n in range(1, 50):
-            lhs = hermite(n + 1, xs)
-            rhs = 2.0 * xs * hermite(n, xs) - 2.0 * n * hermite(n - 1, xs)
-            scale = np.maximum(np.abs(lhs), 1.0)
-            assert np.max(np.abs(lhs - rhs) / scale) <= 1e-12
 
 
 class TestAiry:
@@ -286,3 +263,9 @@ class TestRealize:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidStateSpec):
             realize(StateSpec(kind="weird"))
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(InvalidStateSpec, match=r"\['thermal_nbar'\]"):
+            StateSpec.from_dict({"kind": "fock", "n": 1, "thermal_nbar": 0.1})
+        spec = StateSpec.from_dict({"kind": "fock", "n": 1, "nbar": 0.1})
+        assert spec.thermal_nbar == 0.1
