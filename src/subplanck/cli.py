@@ -275,35 +275,23 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
     _emit(canonical_json(run.to_dict()), _report_path(cfg, args))
 
 
-def _sweep_point(cfg: RunConfig, parameter: str, value: float, with_depth: bool) -> dict:
-    spec = cfg.state
-    pipeline = cfg.pipeline
+def _point_inputs(
+    cfg: RunConfig, parameter: str, value: float
+) -> tuple[StateSpec | None, DistillConfig]:
+    """The state and pipeline of one sweep point."""
     if parameter == "layers_N":
-        pipeline = dataclasses.replace(pipeline, layers=int(value))
-    else:
-        if spec is None:
-            raise ConfigError(f"sweep over {parameter!r} needs a state input")
-        field_map = {
-            "fock_n": ("n", int),
-            "nbar": ("thermal_nbar", float),
-            "alpha": ("alpha", float),
-            "gamma": ("gamma", float),
-            "spacing": ("spacing", float),
-        }
-        field, cast = field_map[parameter]
-        spec = dataclasses.replace(spec, **{field: cast(value)})
-    point_cfg = dataclasses.replace(cfg, state=spec, pipeline=pipeline)
-    report = quantify(resolve_density(point_cfg), pipeline)
-    row = {
-        "min_variance": report.min_variance,
-        "squeezing_db": report.squeezing_db,
-        "asymptotic_variance": report.asymptotic_variance,
-        "efficiency": report.efficiency,
+        return cfg.state, dataclasses.replace(cfg.pipeline, layers=int(value))
+    if cfg.state is None:
+        raise ConfigError(f"sweep over {parameter!r} needs a state input")
+    field_map = {
+        "fock_n": ("n", int),
+        "nbar": ("thermal_nbar", float),
+        "alpha": ("alpha", float),
+        "gamma": ("gamma", float),
+        "spacing": ("spacing", float),
     }
-    if with_depth:
-        depth = subplanck_depth(spec, pipeline, asymptotic=True)
-        row["nbar_star"] = depth.nbar_star
-    return row
+    field, cast = field_map[parameter]
+    return dataclasses.replace(cfg.state, **{field: cast(value)}), cfg.pipeline
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -320,11 +308,41 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     if with_depth and parameter == "nbar":
         # the depth is itself an occupation; each point would already be thermal
         raise ConfigError("with_depth cannot be combined with an nbar sweep")
+    if with_depth and (cfg.state is None or cfg.state.thermal_nbar != 0.0):
+        raise ConfigError("with_depth needs a state input specified at nbar 0")
+
+    kept: dict[str, object] = {}
+
+    def per_state(key: str, compute):
+        # a layers_N sweep keeps the state, so the input and its asymptotic
+        # depth are worked out once; a failure is not kept, so it recurs with
+        # the same message at every point
+        if parameter != "layers_N":
+            return compute()
+        if key not in kept:
+            kept[key] = compute()
+        return kept[key]
 
     def run_point(value: float) -> dict | str:
         # a ConfigError is the same at every point, so it ends the sweep
         try:
-            return _sweep_point(cfg, parameter, value, with_depth)
+            spec, pipeline = _point_inputs(cfg, parameter, value)
+            density = per_state(
+                "density", lambda: resolve_density(dataclasses.replace(cfg, state=spec))
+            )
+            report = quantify(density, pipeline)
+            row = {
+                "min_variance": report.min_variance,
+                "squeezing_db": report.squeezing_db,
+                "asymptotic_variance": report.asymptotic_variance,
+                "efficiency": report.efficiency,
+            }
+            if with_depth:
+                row["nbar_star"] = per_state(
+                    "depth",
+                    lambda: subplanck_depth(spec, pipeline, asymptotic=True).nbar_star,
+                )
+            return row
         except (PreconditionError, SolverError, ValueError) as exc:
             return f"{type(exc).__name__}: {exc}"
 

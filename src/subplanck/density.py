@@ -213,27 +213,22 @@ def global_maxima(d: GridDensity, rel_tol: float = 1e-3) -> list[MaximumLocation
         raise NoInteriorMaximum("density is maximized at a grid edge")
     inner = v[1:-1]
     is_peak = (inner > v[:-2]) & (inner >= v[2:])
-    seeds = np.nonzero(is_peak)[0] + 1
+    i = np.nonzero(is_peak)[0] + 1
     h = d.x_step
-    out: list[MaximumLocation] = []
-    for i in seeds:
-        y1, y2, y3 = v[i - 1], v[i], v[i + 1]
-        denom = y1 - 2.0 * y2 + y3
-        if denom >= 0.0:
-            # flat triple; keep the node itself
-            out.append(MaximumLocation(d.x_min + i * h, float(y2), 0.0, False))
-            continue
-        delta = 0.5 * (y1 - y3) / denom
-        delta = float(np.clip(delta, -1.0, 1.0))
-        a = d.x_min + (i + delta) * h
-        value = y2 - 0.25 * (y1 - y3) * delta
-        out.append(MaximumLocation(float(a), float(value), float(denom / h**2), False))
-    vmax = max(loc.value for loc in out)
-    out = [
-        replace(loc, is_global=loc.value >= (1.0 - rel_tol) * vmax) for loc in out
-    ]
-    out.sort(key=lambda loc: -loc.value)
-    return out
+    y1, y2, y3 = v[i - 1], v[i], v[i + 1]
+    denom = y1 - 2.0 * y2 + y3
+    # a flat triple keeps the node itself: delta = 0 gives a = x_i, value = y2
+    flat = denom >= 0.0
+    delta = np.divide(0.5 * (y1 - y3), denom, out=np.zeros_like(denom), where=~flat)
+    delta = np.clip(delta, -1.0, 1.0)
+    a = d.x_min + (i + delta) * h
+    value = y2 - 0.25 * (y1 - y3) * delta
+    curvature = np.where(flat, 0.0, denom / h**2)
+    is_global = value >= (1.0 - rel_tol) * value.max()
+    # a stable sort keeps equal heights in grid order
+    order = np.argsort(-value, kind="stable")
+    columns = (x[order].tolist() for x in (a, value, curvature, is_global))
+    return [MaximumLocation(*fields) for fields in zip(*columns)]
 
 
 def curvature_at(d: GridDensity, a: float, window: int = 8) -> float:

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from subplanck.density import (
     GridSpec,
@@ -274,6 +275,7 @@ def test_a11_relative_concavity_is_preserved():
     assert worst <= 1e-3
 
 
+@pytest.mark.slow
 def test_a12_monte_carlo_matches_deterministic_pipeline():
     # acceptance at two layers sits near 2.8e-4 (Fock 1) and 1.5e-4 (Fock 4),
     # so these batch counts keep the surviving population above 5e4

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,8 +14,26 @@ import numpy as np
 import pytest
 
 import subplanck
+from subplanck import cli
 from subplanck.cli import canonical_json, main
 from subplanck.phonon import RabiModel, rabi_signal
+
+# layers_N sweeps of a Rabi trace of Fock 1 (fitted populations) and of the
+# Fock 1 state with its asymptotic depth, as the per-point sweep wrote them
+RABI_LAYERS_TABLE = """\
+layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,error
+1,0.337038661643,-1.71290282767,0.25000114984,0.741758077904,
+2,0.306089380537,-2.13121741888,0.25000114984,0.816758652002,
+3,0.284148173432,-2.45425135688,0.25000114984,0.879826700343,
+4,0.270005940765,-2.67596684574,0.25000114984,0.925909811953,
+"""
+FOCK1_LAYERS_DEPTH_TABLE = """\
+layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,nbar_star,error
+1,0.337038979868,-1.71289872715,0.250001301787,0.741757828381,0.24951171875,
+2,0.306089615924,-2.13121407909,0.250001301787,0.816758520317,0.24951171875,
+3,0.284148681754,-2.45424358766,0.250001301787,0.879825661142,0.24951171875,
+4,0.270006132941,-2.67596375465,0.250001301787,0.925909715692,0.24951171875,
+"""
 
 FOCK1_REPORT = (
     '{"min_variance": 0.270006132941, "squeezing_db": -2.67596375465, '
@@ -27,6 +47,31 @@ def write_config(tmp_path, payload, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def rabi_trace_config(tmp_path, truth, noise=0.0):
+    model = RabiModel(omega01=2.0 * math.pi * 0.05, gamma_decay=0.01, n_max=2)
+    ts = np.linspace(0.0, 60.0, 60)
+    pe = rabi_signal(np.asarray(truth), model, ts)
+    if noise:
+        pe = pe + np.random.default_rng(11).normal(0.0, noise, ts.shape[0])
+    csv = tmp_path / "trace.csv"
+    csv.write_text(
+        "t_seconds,p_excited\n"
+        + "".join(f"{t:.9f},{p:.9f}\n" for t, p in zip(ts, pe))
+    )
+    return write_config(
+        tmp_path,
+        {
+            "rabi_csv": str(csv),
+            "rabi_model": {
+                "omega01": 2.0 * math.pi * 0.05,
+                "gamma_decay": 0.01,
+                "n_max": 2,
+            },
+        },
+        name="fit.json",
+    )
 
 
 def run_cli(args, capsys):
@@ -376,6 +421,49 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert "with_depth" in err
 
+    @pytest.mark.parametrize(
+        "source,parameter",
+        [("density_csv", "layers_N"), ("rabi_csv", "layers_N"), ("thermal", "fock_n")],
+    )
+    def test_depth_needs_a_state_at_zero_nbar(self, tmp_path, capsys, source, parameter):
+        if source == "density_csv":
+            csv = tmp_path / "density.csv"
+            xs = np.linspace(-6.0, 6.0, 256)
+            csv.write_text("".join(f"{x},{math.exp(-x * x)}\n" for x in xs))
+            payload = {"density_csv": str(csv)}
+        elif source == "rabi_csv":
+            payload = json.loads(Path(rabi_trace_config(tmp_path, [0.0, 1.0, 0.0])).read_text())
+        else:
+            payload = {"state": {"kind": "fock", "n": 1, "nbar": 0.1}}
+        payload["sweep"] = {"parameter": parameter, "values": [1, 2], "with_depth": True}
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "with_depth needs a state input specified at nbar 0" in err
+
+    def test_layers_sweep_resolves_input_and_depth_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = {"fit_populations": 0, "subplanck_depth": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(cli, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        flags = ["--parameter", "layers_N", "--values", "4,3,2,1"]
+        rabi = rabi_trace_config(tmp_path, [0.0, 1.0, 0.0])
+        assert run_cli(["sweep", "--config", rabi] + flags, capsys)[:2] == (
+            0, RABI_LAYERS_TABLE
+        )
+        state = write_config(
+            tmp_path, {"state": {"kind": "fock", "n": 1}, "sweep": {"with_depth": True}}
+        )
+        assert run_cli(["sweep", "--config", state] + flags, capsys)[:2] == (
+            0, FOCK1_LAYERS_DEPTH_TABLE
+        )
+        assert calls == {"fit_populations": 1, "subplanck_depth": 1}
+
     def test_config_error_ends_the_sweep(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         cfg = write_config(tmp_path, {"density_csv": str(missing)})
@@ -407,33 +495,27 @@ class TestSweepCommand:
         assert code == 2  # values missing
 
 
-class TestFitPhononsCommand:
-    def trace_config(self, tmp_path, truth, noise=0.0):
-        model = RabiModel(omega01=2.0 * math.pi * 0.05, gamma_decay=0.01, n_max=2)
-        ts = np.linspace(0.0, 60.0, 60)
-        pe = rabi_signal(np.asarray(truth), model, ts)
-        if noise:
-            pe = pe + np.random.default_rng(11).normal(0.0, noise, ts.shape[0])
-        csv = tmp_path / "trace.csv"
-        csv.write_text(
-            "t_seconds,p_excited\n"
-            + "".join(f"{t:.9f},{p:.9f}\n" for t, p in zip(ts, pe))
-        )
-        return write_config(
-            tmp_path,
-            {
-                "rabi_csv": str(csv),
-                "rabi_model": {
-                    "omega01": 2.0 * math.pi * 0.05,
-                    "gamma_decay": 0.01,
-                    "n_max": 2,
-                },
-            },
-            name="fit.json",
-        )
+class TestReadmeExample:
+    def test_every_command_runs_on_the_example_config(self, tmp_path, capsys, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        config = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        commands = re.findall(r"^subplanck (.*--config run\.json.*)$", readme, re.M)
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_text(config)
+        for command in commands:
+            code, _, err = run_cli(shlex.split(command), capsys)
+            assert (code, err) == (0, ""), command
+            if command.startswith("sweep"):
+                rows = Path(json.loads(config)["outputs"]["table_csv"]).read_text()
+                assert all(row.endswith(",") for row in rows.splitlines()[1:]), rows
+        assert sorted(c.split()[0] for c in commands) == [
+            "depth", "export-density", "oracle", "quantify", "sweep"
+        ]
 
+
+class TestFitPhononsCommand:
     def test_populations_recovered(self, tmp_path, capsys):
-        cfg = self.trace_config(tmp_path, [0.1, 0.8, 0.1], noise=0.005)
+        cfg = rabi_trace_config(tmp_path, [0.1, 0.8, 0.1], noise=0.005)
         code, out, _ = run_cli(["fit-phonons", "--config", cfg], capsys)
         assert code == 0
         pops = json.loads(out)["populations"]
@@ -442,7 +524,7 @@ class TestFitPhononsCommand:
         assert pops[1] == pytest.approx(0.8, abs=0.03)
 
     def test_quantify_accepts_rabi_input(self, tmp_path, capsys):
-        cfg = self.trace_config(tmp_path, [0.0, 1.0, 0.0])
+        cfg = rabi_trace_config(tmp_path, [0.0, 1.0, 0.0])
         code, out, _ = run_cli(["quantify", "--config", cfg], capsys)
         assert code == 0
         fitted = json.loads(out)

@@ -1,13 +1,16 @@
 """Grid-density kernel: construction, moments, maxima, curvature, convolution,
 log-domain power scaling."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from subplanck.density import (
+    GridDensity,
     GridSpec,
+    MaximumLocation,
     convolve_gaussian,
     curvature_at,
     from_log_values,
@@ -30,6 +33,7 @@ from subplanck.errors import (
     WindowOutOfRange,
     ZeroMass,
 )
+from subplanck.states import StateSpec, realize
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -134,6 +138,78 @@ class TestGlobalMaxima:
         d = gaussian_density(0.5, mu=0.3)
         locs = global_maxima(d, 1e-3)
         assert abs(locs[0].a - 0.3) <= d.x_step
+
+
+def loop_global_maxima(d, rel_tol=1e-3):
+    """The seed-by-seed parabola refinement that global_maxima replaced."""
+    v = d.values()
+    inner = v[1:-1]
+    seeds = np.nonzero((inner > v[:-2]) & (inner >= v[2:]))[0] + 1
+    h = d.x_step
+    out = []
+    for i in seeds:
+        y1, y2, y3 = v[i - 1], v[i], v[i + 1]
+        denom = y1 - 2.0 * y2 + y3
+        if denom >= 0.0:
+            out.append(MaximumLocation(d.x_min + i * h, float(y2), 0.0, False))
+            continue
+        delta = float(np.clip(0.5 * (y1 - y3) / denom, -1.0, 1.0))
+        a = d.x_min + (i + delta) * h
+        value = y2 - 0.25 * (y1 - y3) * delta
+        out.append(MaximumLocation(float(a), float(value), float(denom / h**2), False))
+    vmax = max(loc.value for loc in out)
+    out = [
+        dataclasses.replace(loc, is_global=loc.value >= (1.0 - rel_tol) * vmax)
+        for loc in out
+    ]
+    out.sort(key=lambda loc: -loc.value)
+    return out
+
+
+def flat_triple_density():
+    """A parabola whose peak triple rounds to denom == 0 exactly."""
+    xs = -4.0 + 0.08 * np.arange(101)
+    log_p = -(xs**2)
+    log_p[49:52] = (math.log1p(-(2.0**-53)), 0.0, 0.0)
+    return GridDensity(-4.0, 0.08, log_p, 0.0)
+
+
+BIT_EXACT_SPECS = {
+    **{
+        f"fock{n}-nbar{nbar}": StateSpec(kind="fock", n=n, thermal_nbar=nbar)
+        for n in range(1, 11)
+        for nbar in (0.0, 0.02, 0.1, 0.5, 2.0)
+    },
+    "cat": StateSpec(kind="cat", alpha=2.0),
+    "gkp": StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=SQRT_PI),
+    "mixture": StateSpec(kind="mixture", populations=(0.2, 0.5, 0.3), thermal_nbar=0.1),
+}
+
+
+def assert_plain_fields(maxima):
+    for m in maxima:
+        assert type(m.a) is float and type(m.value) is float
+        assert type(m.curvature) is float and type(m.is_global) is bool
+
+
+class TestGlobalMaximaBitExact:
+    """The vectorized refinement returns the loop's maxima to the bit."""
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    @pytest.mark.parametrize("name", list(BIT_EXACT_SPECS))
+    def test_matches_loop(self, name, copies):
+        d = pow_scale(realize(BIT_EXACT_SPECS[name]), copies)
+        got = global_maxima(d)
+        assert got == loop_global_maxima(d)
+        assert_plain_fields(got)
+
+    def test_flat_triple_keeps_the_node(self):
+        d = flat_triple_density()
+        got = global_maxima(d)
+        assert got == loop_global_maxima(d)
+        assert_plain_fields(got)
+        (m,) = [m for m in got if m.is_global]
+        assert (m.a, m.value, m.curvature) == (0.0, 1.0, 0.0)
 
 
 class TestCurvature:
