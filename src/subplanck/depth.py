@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
+from .density import GridSpec
 from .distill import (
     GROUND_VARIANCE,
     DistillConfig,
@@ -88,12 +89,15 @@ def subplanck_depth(
     spec: StateSpec,
     cfg: DistillConfig | None = None,
     asymptotic: bool = False,
+    grid: GridSpec | None = None,
 ) -> DepthResult:
     """Occupation at which distillable squeezing disappears.
 
     The witness is the minimal filtered variance at ``cfg.layers`` layers, or
     the many-copy variance limit when ``asymptotic`` is set.  Requires a
     state that is squeezable at zero occupation and classical by nbar = 2.
+    Every occupation is realized on ``grid``, or on the state's default grid
+    at that occupation when it is None.
     """
     spec.validate()
     if spec.thermal_nbar != 0.0:
@@ -101,7 +105,7 @@ def subplanck_depth(
     cfg = cfg or DistillConfig()
 
     def witness(nbar: float) -> float:
-        dens = realize(dataclasses.replace(spec, thermal_nbar=float(nbar)))
+        dens = realize(dataclasses.replace(spec, thermal_nbar=float(nbar)), grid)
         if asymptotic:
             return asymptotic_variance(dens, cfg.max_rel_tol) - GROUND_VARIANCE
         return quantify(dens, cfg).min_variance - GROUND_VARIANCE

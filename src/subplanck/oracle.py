@@ -29,6 +29,8 @@ __all__ = [
 MAX_PROTOCOL_LAYERS = 4
 _SQRT2 = math.sqrt(2.0)
 _DEFAULT_BATCH = 1 << 17
+_CELLS_PER_NODE = 16
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,84 @@ def _cdf_nodes(p: GridDensity) -> tuple[np.ndarray, np.ndarray]:
     return xs, cdf
 
 
+class _InverseCdf:
+    """Inverse transform of uniform draws: ``np.interp(u, cdf, xs)``, faster.
+
+    ``np.interp`` binary-searches every draw.  A guide table (Chen & Asau,
+    1974) splits [0, 1) into at least ``_CELLS_PER_NODE`` cells per node,
+    rounded up to a power of two so that ``u * cells`` and the cell edges are
+    exact.  Each cell stores the last node with ``cdf[j] <= start`` and the
+    next node's CDF value, so one comparison finds the node of any draw in a
+    cell that holds at most one node boundary.  Wider cells (zero-width and
+    tail steps) are flagged and searched.  The value then follows numpy's own
+    formula, its ``u == cdf[j]`` case and its NaN fallback, so the result
+    equals ``np.interp`` bit for bit.
+    """
+
+    def __init__(self, xs: np.ndarray, cdf: np.ndarray) -> None:
+        cells = 1 << (_CELLS_PER_NODE * cdf.size - 1).bit_length()
+        edges = np.arange(cells + 1) / cells
+        guide = np.searchsorted(cdf, edges[:-1], side="right") - 1
+        padded = np.concatenate((cdf, [np.inf, np.inf]))
+        self._cells = cells
+        self._guide = guide
+        self._next_cdf = padded[guide + 1]
+        self._wide = padded[guide + 2] < edges[1:]
+        self._xs = xs
+        self._cdf = cdf
+        # zero-width steps give infinite slopes, which no draw selects
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            self._slope = np.diff(xs) / np.diff(cdf)
+
+    def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The transform of ``rng.random(count)``, drawn in fixed chunks.
+
+        Chunks hold the stream unchanged and keep the temporaries small: no
+        array of a whole batch's uniform draws is ever held.
+        """
+        out = np.empty(count)
+        for lo in range(0, count, _CHUNK):
+            part = out[lo : lo + _CHUNK]
+            part[:] = self._draw(rng.random(part.size))
+        return out
+
+    def _draw(self, u: np.ndarray) -> np.ndarray:
+        """``np.interp(u, cdf, xs)`` for u in [0, 1)."""
+        cell = (u * self._cells).astype(np.intp)
+        j = self._guide[cell]
+        j += u >= self._next_cdf[cell]
+        wide = self._wide[cell]
+        if wide.any():
+            j[wide] = np.searchsorted(self._cdf, u[wide], side="right") - 1
+        x = self._xs[j]
+        c = self._cdf[j]
+        slope = self._slope[j]
+        # as in np.interp, a NaN on the way to the fallback is not an error
+        with np.errstate(invalid="ignore"):
+            # slope * (u - c) + x, in place
+            out = u - c
+            out *= slope
+            out += x
+            bad = np.isnan(out)
+            if bad.any():
+                # numpy retries from the step's right end, then takes a flat value
+                jb = j[bad] + 1
+                retry = slope[bad] * (u[bad] - self._cdf[jb]) + self._xs[jb]
+                flat = np.isnan(retry) & (x[bad] == self._xs[jb])
+                retry[flat] = x[bad][flat]
+                out[bad] = retry
+        # a draw on a node takes the node's position, ahead of any fallback
+        np.copyto(out, x, where=u == c)
+        return out
+
+
 def sample_density(p: GridDensity, count: int, seed: int) -> np.ndarray:
     """Draw i.i.d. samples by inverse transform on the trapezoid CDF."""
     if count < 1:
         raise PreconditionError("count must be at least 1")
-    xs, cdf = _cdf_nodes(p)
+    draw = _InverseCdf(*_cdf_nodes(p))
     rng = np.random.default_rng(seed)
-    return np.interp(rng.random(count), cdf, xs)
+    return draw(rng, count)
 
 
 def simulate_protocol(
@@ -111,13 +184,13 @@ def simulate_protocol(
         raise PreconditionError("window eps must be positive")
     if batches < 1 or batch_size < (1 << layers):
         raise PreconditionError("need at least one batch of 2^layers samples")
-    xs, cdf = _cdf_nodes(p)
+    draw = _InverseCdf(*_cdf_nodes(p))
     per_attempt = 1 << layers
     kept: list[np.ndarray] = []
     attempted = 0
     for index in range(batches):
         rng = np.random.default_rng([seed, index])
-        pool = np.interp(rng.random(batch_size), cdf, xs)
+        pool = draw(rng, batch_size)
         attempted += batch_size // per_attempt
         for _ in range(layers):
             if pool.size < 2:

@@ -16,7 +16,10 @@ import pytest
 import subplanck
 from subplanck import cli
 from subplanck.cli import canonical_json, main
+from subplanck.density import GridSpec
+from subplanck.oracle import simulate_protocol
 from subplanck.phonon import RabiModel, rabi_signal
+from subplanck.states import fock_density
 
 # layers_N sweeps of a Rabi trace of Fock 1 (fitted populations) and of the
 # Fock 1 state with its asymptotic depth, as the per-point sweep wrote them
@@ -34,6 +37,11 @@ layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,nbar_star,erro
 3,0.284148681754,-2.45424358766,0.250001301787,0.879825661142,0.24951171875,
 4,0.270006132941,-2.67596375465,0.250001301787,0.925909715692,0.24951171875,
 """
+
+FOCK4_ASYMPTOTIC_DEPTH = (
+    '{"witness": "subplanck-asymptotic", "nbar_star": 0.27099609375, '
+    '"bracket_lo": 0.2705078125, "bracket_hi": 0.271484375, "iterations": 11}\n'
+)
 
 FOCK1_REPORT = (
     '{"min_variance": 0.270006132941, "squeezing_db": -2.67596375465, '
@@ -275,6 +283,32 @@ class TestDepthCommand:
         assert report["witness"] == "subplanck-asymptotic"
         assert report["nbar_star"] == pytest.approx(0.25, abs=1e-3)
 
+    def test_grid_flags_reach_the_depth_search(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 4}})
+        code, default, _ = run_cli(["depth", "--config", cfg, "--asymptotic"], capsys)
+        assert code == 0
+        assert default == FOCK4_ASYMPTOTIC_DEPTH
+        grids = []
+        realize = subplanck.depth.realize
+
+        def recording_realize(spec, grid=None):
+            grids.append(grid)
+            return realize(spec, grid)
+
+        monkeypatch.setattr(subplanck.depth, "realize", recording_realize)
+        flags = ["depth", "--config", cfg, "--asymptotic", "--grid-nodes", "16384"]
+        code, fine, _ = run_cli(flags, capsys)
+        assert code == 0
+        # the default extent of Fock 4 at nbar 0, at every occupation tried
+        assert len(grids) == 13 and set(grids) == {GridSpec(12.0, 16384)}
+        # 16384 nodes move the witness by ~2e-6, less than the bisection's
+        # 2^-11 step resolves; a coarse grid moves the reported depth
+        assert fine == default
+        code, coarse, _ = run_cli(flags[:-1] + ["513"], capsys)
+        assert code == 0
+        assert coarse != default
+        assert json.loads(coarse)["nbar_star"] == 0.27001953125
+
     def test_classical_state_is_precondition_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 0}})
         code, _, err = run_cli(["depth", "--config", cfg, "--asymptotic"], capsys)
@@ -337,6 +371,27 @@ class TestOracleCommand:
         rows = samples.read_text().splitlines()
         assert len(rows) == json.loads(out)["accepted"]
         float(rows[0])
+
+    def test_samples_csv_bytes_are_savetxt_bytes(self, tmp_path, capsys):
+        payload = self.payload()
+        samples = tmp_path / "samples.csv"
+        payload["oracle"]["samples_csv"] = str(samples)
+        code, _, _ = run_cli(["oracle", "--config", write_config(tmp_path, payload)], capsys)
+        assert code == 0
+        run = simulate_protocol(fock_density(1), 2, eps=0.05, batches=4, seed=0)
+        reference = tmp_path / "savetxt.csv"
+        np.savetxt(reference, run.samples_out, fmt="%.17g")
+        assert samples.read_bytes() == reference.read_bytes()
+        # more rows than one formatted block, and values at the format's edges
+        edge = np.concatenate(
+            (
+                np.resize(run.samples_out, 2 * cli._SAMPLE_ROWS_PER_WRITE + 5),
+                [-0.0, 0.0, 1e-310, -1e-310, 1e300, -1e300, 5e-324],
+            )
+        )
+        cli._write_samples(str(samples), edge)
+        np.savetxt(reference, edge, fmt="%.17g")
+        assert samples.read_bytes() == reference.read_bytes()
 
     def test_too_many_layers(self, tmp_path, capsys):
         payload = self.payload()
@@ -408,6 +463,30 @@ class TestSweepCommand:
         lines = out.splitlines()
         assert lines[0].endswith(",nbar_star,error")
         assert float(lines[1].split(",")[-2]) == pytest.approx(0.25, abs=1e-3)
+
+    def test_depth_column_uses_the_grid(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(
+            tmp_path,
+            {
+                "state": {"kind": "fock", "n": 1},
+                "pipeline": {"layers": 1},
+                "grid": {"nodes": 2048},
+                "sweep": {"parameter": "fock_n", "values": [1, 2], "with_depth": True},
+            },
+        )
+        depth_grids = []
+        subplanck_depth = cli.subplanck_depth
+
+        def recording_depth(spec, pipeline, asymptotic, grid):
+            depth_grids.append((spec.n, grid))
+            return subplanck_depth(spec, pipeline, asymptotic=asymptotic, grid=grid)
+
+        monkeypatch.setattr(cli, "subplanck_depth", recording_depth)
+        code, _, _ = run_cli(
+            ["sweep", "--config", cfg, "--grid-extent", "13"], capsys
+        )
+        assert code == 0
+        assert depth_grids == [(1, GridSpec(13.0, 2048)), (2, GridSpec(13.0, 2048))]
 
     def test_nbar_sweep_rejects_depth(self, tmp_path, capsys):
         cfg = write_config(

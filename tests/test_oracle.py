@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from subplanck.density import log_interp, make_grid_density
+from subplanck.density import GridSpec, log_interp, make_grid_density
 from subplanck.distill import universal_distill
 from subplanck.errors import NoAcceptedSamples, PreconditionError, TooFewSamples
 from subplanck.oracle import (
+    _CHUNK,
     MAX_PROTOCOL_LAYERS,
     ProtocolRun,
+    _cdf_nodes,
+    _InverseCdf,
     ks_distance,
     sample_density,
     simulate_protocol,
 )
-from subplanck.states import fock_density
+from subplanck.states import StateSpec, default_grid, fock_density, realize
 
 
 def cumulative_on(d, grid):
@@ -24,6 +27,99 @@ def cumulative_on(d, grid):
     cdf = np.concatenate(([0.0], np.cumsum(steps)))
     cdf /= cdf[-1]
     return np.interp(grid, d.xs(), cdf, left=0.0, right=1.0)
+
+
+def odd_grid_fock3():
+    spec = StateSpec(kind="fock", n=3)
+    return realize(spec, GridSpec(default_grid(spec).extent, 4999))
+
+
+INVERSE_CDF_DENSITIES = {
+    **{
+        f"fock{n}-nbar{nbar}": (lambda n=n, nbar=nbar: realize(
+            StateSpec(kind="fock", n=n, thermal_nbar=nbar)
+        ))
+        for n in range(1, 11)
+        for nbar in (0.0, 0.1, 2.0)
+    },
+    "cat": lambda: realize(StateSpec(kind="cat", alpha=2.0)),
+    "gkp": lambda: realize(
+        StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=math.sqrt(math.pi))
+    ),
+    "mixture": lambda: realize(
+        StateSpec(kind="mixture", populations=(0.2, 0.5, 0.3), thermal_nbar=0.1)
+    ),
+    "odd-grid-4999": odd_grid_fock3,
+}
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_matches_interp(xs, cdf, u):
+    assert_same_bytes(_InverseCdf(xs, cdf)._draw(u), np.interp(u, cdf, xs))
+
+
+class TestInverseCdfBitExact:
+    """The guide-table draw returns ``np.interp(u, cdf, xs)`` to the bit."""
+
+    @pytest.mark.parametrize("name", list(INVERSE_CDF_DENSITIES))
+    def test_matches_interp(self, name):
+        xs, cdf = _cdf_nodes(INVERSE_CDF_DENSITIES[name]())
+        draw = _InverseCdf(xs, cdf)
+        # a batch that is not a multiple of the chunk, then draws that hit
+        # a node, zero, and the flagged cells that take the search
+        count = (1 << 17) + 3
+        got = draw(np.random.default_rng([17, len(name)]), count)
+        u = np.random.default_rng([17, len(name)]).random(count)
+        assert_same_bytes(got, np.interp(u, cdf, xs))
+        on_nodes = np.concatenate(([0.0], cdf[cdf < 1.0]))
+        assert_same_bytes(draw._draw(on_nodes), np.interp(on_nodes, cdf, xs))
+        wide = np.flatnonzero(draw._wide)
+        assert wide.size > 0
+        offsets = np.random.default_rng(5).random(wide.size)
+        in_wide = (wide + offsets) / draw._cells
+        assert draw._wide[(in_wide * draw._cells).astype(np.intp)].all()
+        assert_same_bytes(draw._draw(in_wide), np.interp(in_wide, cdf, xs))
+
+    @pytest.mark.parametrize(
+        "count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, (1 << 17) + 3]
+    )
+    def test_chunk_edges(self, count):
+        xs, cdf = _cdf_nodes(fock_density(2))
+        got = _InverseCdf(xs, cdf)(np.random.default_rng(count), count)
+        u = np.random.default_rng(count).random(count)
+        assert_same_bytes(got, np.interp(u, cdf, xs))
+
+    def test_interior_zero_width_step(self):
+        # the draw on the step's CDF value takes the last node of the step
+        xs = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        cdf = np.array([0.0, 0.25, 0.5, 0.5, 1.0])
+        u = np.array([0.0, 0.1, 0.25, 0.4, 0.5, 0.5000001, 0.75, 0.999])
+        assert_matches_interp(xs, cdf, u)
+
+    def test_nan_fallback(self):
+        # on a nondecreasing CDF with finite positions the chosen step always
+        # has positive width, so only infinite positions reach numpy's retry
+        # from the step's right end, and its flat-step value after that
+        xs = np.array([-np.inf, 0.0, np.inf, np.inf, 3.0, 4.0])
+        cdf = np.array([0.0, 0.25, 0.5, 0.75, 0.75, 1.0])
+        u = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9])
+        with np.errstate(all="raise"):
+            assert_matches_interp(xs, cdf, u)
+
+    def test_draw_on_a_node_keeps_its_sign_and_value(self):
+        # slope * 0 + (-0.0) is +0.0, and an overflowing slope times 0 is
+        # NaN: both tell numpy's u == cdf[j] case from its formula
+        xs = np.array([-1.0, -0.0, 1.0])
+        cdf = np.array([0.0, 0.5, 1.0])
+        assert_matches_interp(xs, cdf, np.array([0.25, 0.5, 0.75]))
+        tiny = 5e-324
+        xs = np.array([0.0, 1.0, 2.0])
+        cdf = np.array([0.0, tiny, 1.0])
+        assert_matches_interp(xs, cdf, np.array([0.0, tiny, 0.5]))
 
 
 class TestSampleDensity:
@@ -105,6 +201,14 @@ class TestSimulateProtocol:
             ]
             majority += rates[0] > rates[1] > rates[2]
         assert majority >= 3
+
+    def test_batches_are_a_prefix(self):
+        # each batch draws from its own (seed, batch index) stream
+        p = fock_density(1)
+        four = simulate_protocol(p, 2, eps=0.05, batches=4, seed=9)
+        eight = simulate_protocol(p, 2, eps=0.05, batches=8, seed=9)
+        assert_same_bytes(four.samples_out, eight.samples_out[: four.accepted])
+        assert eight.accepted > four.accepted
 
     def test_acceptance_bookkeeping(self):
         run = simulate_protocol(fock_density(0), 2, eps=0.05, batches=2, seed=0)
