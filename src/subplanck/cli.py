@@ -119,10 +119,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     try:
         state = StateSpec.from_dict(raw["state"]) if "state" in raw else None
         pipeline = DistillConfig(**raw.get("pipeline", {}))
-        pipeline.validate()
         model = RabiModel(**raw["rabi_model"]) if "rabi_model" in raw else None
-        if model is not None:
-            model.validate()
     except (QuantifierError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
@@ -160,12 +157,14 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
 
 
 def _grid_for(cfg: RunConfig, spec: StateSpec) -> GridSpec | None:
+    """The spec's default grid with the configured extent and nodes, if any is set."""
     if cfg.grid_extent is None and cfg.grid_nodes is None:
         return None
-    extent = cfg.grid_extent
-    if extent is None:
-        extent = default_grid(spec).extent
-    return GridSpec(float(extent), cfg.grid_nodes or 4096)
+    grid = default_grid(spec)
+    return GridSpec(
+        grid.extent if cfg.grid_extent is None else float(cfg.grid_extent),
+        grid.nodes if cfg.grid_nodes is None else cfg.grid_nodes,
+    )
 
 
 def _fit_from_csv(cfg: RunConfig):
@@ -290,12 +289,10 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
     _emit(canonical_json(run.to_dict()), _report_path(cfg, args))
 
 
-def _point_inputs(
-    cfg: RunConfig, parameter: str, value: float
-) -> tuple[StateSpec | None, DistillConfig]:
-    """The state and pipeline of one sweep point."""
+def _point_state(cfg: RunConfig, parameter: str, value: float) -> StateSpec | None:
+    """The state of one sweep point."""
     if parameter == "layers_N":
-        return cfg.state, dataclasses.replace(cfg.pipeline, layers=int(value))
+        return cfg.state
     if cfg.state is None:
         raise ConfigError(f"sweep over {parameter!r} needs a state input")
     field_map = {
@@ -306,7 +303,7 @@ def _point_inputs(
         "spacing": ("spacing", float),
     }
     field, cast = field_map[parameter]
-    return dataclasses.replace(cfg.state, **{field: cast(value)}), cfg.pipeline
+    return dataclasses.replace(cfg.state, **{field: cast(value)})
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -341,10 +338,13 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     def run_point(value: float) -> dict | str:
         # a ConfigError is the same at every point, so it ends the sweep
         try:
-            spec, pipeline = _point_inputs(cfg, parameter, value)
+            spec = _point_state(cfg, parameter, value)
             density = per_state(
                 "density", lambda: resolve_density(dataclasses.replace(cfg, state=spec))
             )
+            pipeline = cfg.pipeline
+            if parameter == "layers_N":
+                pipeline = dataclasses.replace(pipeline, layers=int(value))
             report = quantify(density, pipeline)
             row = {
                 "min_variance": report.min_variance,

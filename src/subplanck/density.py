@@ -22,6 +22,7 @@ import scipy.fft
 from .errors import (
     ConfigError,
     DegenerateResult,
+    GridTooNarrow,
     InsufficientSupport,
     NegativeDensity,
     NoInteriorMaximum,
@@ -64,8 +65,10 @@ class GridSpec:
     nodes: int = 4096
 
     def __post_init__(self) -> None:
-        if self.extent <= 0.0:
-            raise ValueError("grid extent must be positive")
+        if not (math.isfinite(self.extent) and self.extent > 0.0):
+            raise GridTooNarrow(
+                f"grid extent must be finite and positive, got {self.extent!r}"
+            )
         if self.nodes < MIN_NODES:
             raise TooFewPoints(f"need at least {MIN_NODES} nodes, got {self.nodes}")
 

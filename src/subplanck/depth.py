@@ -99,7 +99,6 @@ def subplanck_depth(
     Every occupation is realized on ``grid``, or on the state's default grid
     at that occupation when it is None.
     """
-    spec.validate()
     if spec.thermal_nbar != 0.0:
         raise NoSqueezingAtZero("depth search needs a state specified at nbar = 0")
     cfg = cfg or DistillConfig()
@@ -107,7 +106,7 @@ def subplanck_depth(
     def witness(nbar: float) -> float:
         dens = realize(dataclasses.replace(spec, thermal_nbar=float(nbar)), grid)
         if asymptotic:
-            return asymptotic_variance(dens, cfg.max_rel_tol) - GROUND_VARIANCE
+            return asymptotic_variance(dens) - GROUND_VARIANCE
         return quantify(dens, cfg).min_variance - GROUND_VARIANCE
 
     lo, hi = _SUBPLANCK_BRACKET

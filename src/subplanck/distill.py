@@ -60,6 +60,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_LAYERS = 12
 _MAX_CONDITIONED_LAYERS = 4
+_TRANSMISSIVITY_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -69,17 +70,16 @@ class DistillConfig:
     ``layers`` universal interference layers act on 2**layers copies.  A
     single nonuniversal prelayer conditioned at ``prelayer_xbar`` may run
     first; nonzero ``conditioning_xbar`` instead threads the same offset
-    through every universal layer (validation-scale runs only).
+    through every universal layer (validation-scale runs only).  Invalid
+    settings raise ``ValueError`` when the config is built.
     """
 
     layers: int = 4
     conditioning_xbar: float = 0.0
     nonuniversal_prelayers: int = 0
     prelayer_xbar: float = 0.0
-    max_rel_tol: float = 1e-3
-    transmissivity_grid: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 <= self.layers <= _MAX_LAYERS:
             raise ValueError(f"layers must lie in 0..{_MAX_LAYERS}")
         if self.nonuniversal_prelayers not in (0, 1):
@@ -88,17 +88,12 @@ class DistillConfig:
             raise ValueError(
                 f"conditioned universal layers are limited to {_MAX_CONDITIONED_LAYERS}"
             )
-        if not 0.0 < self.max_rel_tol < 1.0:
-            raise ValueError("max_rel_tol must lie in (0, 1)")
-        if self.transmissivity_grid < 8:
-            raise ValueError("transmissivity grid needs at least 8 points")
 
 
 @dataclass(frozen=True)
 class DistillReport:
     """Outcome of one quantification run."""
 
-    output: GridDensity
     maximum: MaximumLocation
     T_opt: float
     min_variance: float
@@ -173,15 +168,14 @@ def nonuniversal_layer(p: GridDensity, xbar: float) -> GridDensity:
     return from_log_values(xs_new[0], p.x_step * _SQRT2, log_new, p.meta)
 
 
-def displace_to_origin(
-    q: GridDensity, rel_tol: float = 1e-3
-) -> tuple[GridDensity, MaximumLocation]:
+def displace_to_origin(q: GridDensity) -> tuple[GridDensity, MaximumLocation]:
     """Shift the selected global maximum to x = 0.
 
-    Among maxima within ``rel_tol`` of the highest, the one with the smallest
-    nonnegative position wins (ties in symmetric densities break toward +x).
+    Among maxima within a relative 1e-3 of the highest (``global_maxima``'s
+    default), the one with the smallest nonnegative position wins (ties in
+    symmetric densities break toward +x).
     """
-    maxima = global_maxima(q, rel_tol)
+    maxima = global_maxima(q)
     globals_ = [m for m in maxima if m.is_global]
     nonneg = [m for m in globals_ if m.a >= 0.0]
     chosen = min(nonneg, key=lambda m: m.a) if nonneg else max(globals_, key=lambda m: m.a)
@@ -239,21 +233,18 @@ def golden_section(f, a: float, b: float, tol: float):
     return (a, b), ((c, fc) if fc < fd else (d, fd)), iterations
 
 
-def optimize_filter(
-    q: GridDensity, cfg: DistillConfig | None = None
-) -> tuple[float, float]:
+def optimize_filter(q: GridDensity) -> tuple[float, float]:
     """Transmissivity minimizing the filtered variance.
 
     Coarse logarithmic scan over (0, 1] followed by golden-section refinement
     of the best bracket; the endpoint T = 1 is always evaluated exactly.
     Returns ``(T_opt, min_variance)``.
     """
-    cfg = cfg or DistillConfig()
 
     def objective(t: float) -> float:
         return variance(filter_with_ground_state(q, t))
 
-    ts = np.geomspace(1e-4, 1.0, cfg.transmissivity_grid)
+    ts = np.geomspace(1e-4, 1.0, _TRANSMISSIVITY_POINTS)
     vs = np.array([objective(t) for t in ts])
     k = int(np.argmin(vs))
     lo = ts[max(k - 1, 0)]
@@ -266,9 +257,9 @@ def optimize_filter(
     return best_t, best_v
 
 
-def asymptotic_variance(p: GridDensity, rel_tol: float = 1e-3) -> float:
+def asymptotic_variance(p: GridDensity) -> float:
     """Many-copy variance limit: density over |curvature| at the chosen maximum."""
-    _, chosen = displace_to_origin(p, rel_tol)
+    _, chosen = displace_to_origin(p)
     curv = curvature_at(p, chosen.a)
     if abs(curv) < 1e-12 * chosen.value or curv > 0.0:
         raise FlatMaximum(
@@ -292,20 +283,17 @@ def quantify(p: GridDensity, cfg: DistillConfig | None = None) -> DistillReport:
     the prelayer, i.e. on the density the universal pipeline actually sees.
     """
     cfg = cfg or DistillConfig()
-    cfg.validate()
     work = p
     if cfg.nonuniversal_prelayers:
         work = nonuniversal_layer(work, cfg.prelayer_xbar)
-    asym = asymptotic_variance(work, cfg.max_rel_tol)
+    asym = asymptotic_variance(work)
     if cfg.conditioning_xbar != 0.0:
         distilled = binary_sequence_distill(work, cfg.layers, cfg.conditioning_xbar)
     else:
         distilled = universal_distill(work, cfg.layers)
-    recentered, maximum = displace_to_origin(distilled, cfg.max_rel_tol)
-    t_opt, min_var = optimize_filter(recentered, cfg)
-    out = filter_with_ground_state(recentered, t_opt)
+    recentered, maximum = displace_to_origin(distilled)
+    t_opt, min_var = optimize_filter(recentered)
     return DistillReport(
-        output=out,
         maximum=maximum,
         T_opt=t_opt,
         min_variance=min_var,

@@ -66,7 +66,7 @@ class DegenerateResult(SolverError):
 # --- state catalog --------------------------------------------------------
 
 class GridTooNarrow(PreconditionError):
-    """Grid extent is too small to hold the requested state."""
+    """Grid extent is not finite and positive, or too small for the requested state."""
 
 
 class InvalidPopulations(PreconditionError):

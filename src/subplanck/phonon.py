@@ -57,7 +57,8 @@ class RabiModel:
     ``scaling='sqrt'`` uses the ideal sqrt(n+1) frequency ladder;
     ``scaling='lamb_dicke'`` uses the generalized-Laguerre matrix elements at
     ``lamb_dicke`` (exact outside the small-coupling regime).  The decay
-    exponent on (n+1) is an empirical envelope parameter.
+    exponent on (n+1) is an empirical envelope parameter.  Invalid settings
+    raise ``ValueError`` when the model is built.
     """
 
     omega01: float
@@ -67,7 +68,7 @@ class RabiModel:
     lamb_dicke: float = 0.0
     decay_exponent: float = 0.7
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.omega01 > 0.0:
             raise ValueError("omega01 must be positive")
         if self.gamma_decay < 0.0:
@@ -116,7 +117,6 @@ def phonon_stats(populations: np.ndarray) -> PhononDistribution:
 
 def rabi_frequencies(model: RabiModel) -> np.ndarray:
     """Blue-sideband frequencies Omega_{n,n+1} for n = 0..n_max."""
-    model.validate()
     ns = np.arange(model.n_max + 1)
     if model.scaling == "sqrt":
         ratio = np.sqrt(ns + 1.0)
@@ -132,7 +132,6 @@ def rabi_signal(
 ) -> np.ndarray | float:
     """Excited-state probability of the sideband trace at times ``t``."""
     p = np.asarray(populations, dtype=float)
-    model.validate()
     if p.shape[0] != model.n_max + 1:
         raise InvalidPopulations(
             f"expected {model.n_max + 1} populations, got {p.shape[0]}"
@@ -175,7 +174,6 @@ def fit_populations(
     """
     ts = np.asarray(times, dtype=float)
     pe = np.asarray(p_excited, dtype=float)
-    model.validate()
     if ts.ndim != 1 or ts.shape != pe.shape:
         raise InsufficientData("times and p_excited must be 1D arrays of equal length")
     n_params = model.n_max + 1

@@ -51,7 +51,8 @@ class StateSpec:
     Exactly the fields relevant to ``kind`` are read; ``thermal_nbar`` adds a
     Gaussian blur of that variance and ``quadrature_angle`` picks the
     measured quadrature (0 or pi/2 where supported; number states are
-    rotation invariant).
+    rotation invariant).  A spec that breaks these invariants raises
+    :class:`InvalidStateSpec` or :class:`InvalidPopulations` when built.
     """
 
     kind: str
@@ -65,7 +66,7 @@ class StateSpec:
     thermal_nbar: float = 0.0
     quadrature_angle: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise InvalidStateSpec(f"unknown state kind {self.kind!r}")
         if self.thermal_nbar < 0.0:
@@ -95,7 +96,7 @@ class StateSpec:
             raise InvalidStateSpec(f"unknown state keys: {sorted(unknown)}")
         kind = data.get("kind")
         pops = data.get("populations")
-        spec = StateSpec(
+        return StateSpec(
             kind=kind if isinstance(kind, str) else "",
             n=int(data.get("n", 0)),
             populations=tuple(pops) if pops is not None else None,
@@ -107,26 +108,6 @@ class StateSpec:
             thermal_nbar=float(data.get("nbar", 0.0)),
             quadrature_angle=float(data.get("angle", 0.0)),
         )
-        spec.validate()
-        return spec
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "fock":
-            out["n"] = self.n
-        elif self.kind == "mixture":
-            out["populations"] = list(self.populations or ())
-        elif self.kind == "cat":
-            out["alpha"] = self.alpha
-        elif self.kind == "gkp":
-            out["delta"] = self.delta
-            out["side_peaks"] = self.side_peaks
-            out["spacing"] = self.spacing
-        elif self.kind == "cubic":
-            out["gamma"] = self.gamma
-        out["nbar"] = self.thermal_nbar
-        out["angle"] = self.quadrature_angle
-        return out
 
 
 # --- special functions ------------------------------------------------------
@@ -242,7 +223,6 @@ def _fock_extent(n: int) -> float:
 
 def default_grid(spec: StateSpec, nodes: int = 4096) -> GridSpec:
     """Grid wide enough that the state's density decays at the edges."""
-    spec.validate()
     if spec.kind == "fock":
         extent = _fock_extent(spec.n)
     elif spec.kind == "mixture":
@@ -257,10 +237,8 @@ def default_grid(spec: StateSpec, nodes: int = 4096) -> GridSpec:
         extent = max(8.0, 2.0 * spec.side_peaks * spec.spacing + 6.0 * spec.delta + 2.0)
         if abs(spec.quadrature_angle - 0.5 * math.pi) < 1e-12:
             extent = max(8.0, 6.0 / spec.delta + 2.0 * math.pi / spec.spacing)
-    elif spec.kind == "cubic":
+    else:  # cubic
         extent = 14.0
-    else:  # pragma: no cover
-        raise InvalidStateSpec(spec.kind)
     # thermal blur widens the state; convolution pads further on its own
     if spec.thermal_nbar > 0.0:
         extent += 4.0 * math.sqrt(spec.thermal_nbar)
@@ -343,11 +321,9 @@ def cat_momentum_density(alpha: float, grid: GridSpec | None = None) -> GridDens
     return from_log_values(ps[0], grid.step, log_p, meta=f"cat:{alpha}")
 
 
-def _cat_position_density(alpha: float, grid: GridSpec | None = None) -> GridDensity:
+def _cat_position_density(alpha: float, grid: GridSpec) -> GridDensity:
     """Position density of the even cat: two humps plus an exponentially small bridge."""
     c = math.sqrt(2.0) * alpha
-    if grid is None:
-        grid = GridSpec(8.0 + c)
     xs = grid.xs()
     terms = np.stack(
         [
@@ -386,11 +362,9 @@ def gkp_position_density(
 
 
 def _gkp_momentum_density(
-    delta: float, side_peaks: int, spacing: float, grid: GridSpec | None = None
+    delta: float, side_peaks: int, spacing: float, grid: GridSpec
 ) -> GridDensity:
     """Momentum density of the same grid state: dual comb under exp(-delta^2 p^2)."""
-    if grid is None:
-        grid = GridSpec(max(8.0, 6.0 / delta + 2.0 * math.pi / spacing))
     ps = grid.xs()
     ss = np.arange(1, side_peaks + 1)
     amp = 1.0 + 2.0 * np.sum(
@@ -435,7 +409,6 @@ def cubic_momentum_density(gamma: float, grid: GridSpec | None = None) -> GridDe
 
 def realize(spec: StateSpec, grid: GridSpec | None = None) -> GridDensity:
     """Produce the quadrature density a :class:`StateSpec` describes."""
-    spec.validate()
     angle = spec.quadrature_angle
     rotated = abs(angle - 0.5 * math.pi) < 1e-12
     if not rotated and abs(angle) > 1e-12 and spec.kind not in ("fock", "mixture"):
@@ -460,15 +433,13 @@ def realize(spec: StateSpec, grid: GridSpec | None = None) -> GridDensity:
             if rotated
             else gkp_position_density(spec.delta, spec.side_peaks, spec.spacing, grid)
         )
-    elif spec.kind == "cubic":
+    else:  # cubic
         if rotated:
             # the cubic phase leaves the position density untouched: pure ground state
             xs = grid.xs()
             base = from_log_values(xs[0], grid.step, -(xs**2), meta="ground")
         else:
             base = cubic_momentum_density(spec.gamma, grid)
-    else:  # pragma: no cover
-        raise InvalidStateSpec(spec.kind)
     if spec.thermal_nbar > 0.0:
         base = convolve_gaussian(base, spec.thermal_nbar)
     return base

@@ -149,7 +149,12 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "section,key,value",
-        [("sweep", "workers", 2), ("pipeline", "filter_exponent", "literal")],
+        [
+            ("sweep", "workers", 2),
+            ("pipeline", "filter_exponent", "literal"),
+            ("pipeline", "max_rel_tol", 1e-3),
+            ("pipeline", "transmissivity_grid", 64),
+        ],
     )
     def test_removed_config_keys(self, tmp_path, capsys, section, key, value):
         payload = {
@@ -170,6 +175,33 @@ class TestConfigErrors:
             },
         )
         assert run_cli(["quantify", "--config", cfg], capsys)[0] == 2
+
+
+class TestGridFlags:
+    @pytest.mark.parametrize(
+        "flags,grid,shown",
+        [
+            (["--grid-nodes", "0"], None, "0"),
+            (["--grid-extent", "0"], None, "0.0"),
+            (["--grid-extent", "-3"], None, "-3.0"),
+            ([], {"extent": 0}, "0.0"),
+            (["--grid-extent", "nan"], None, "nan"),
+            (["--grid-extent", "inf"], None, "inf"),
+        ],
+        ids=["nodes-0", "extent-0", "extent-neg3", "config-extent-0", "extent-nan", "extent-inf"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_unusable_grid_is_a_precondition_error(
+        self, tmp_path, capsys, flags, grid, shown
+    ):
+        payload = {"state": {"kind": "fock", "n": 1}, "pipeline": {"layers": 1}}
+        if grid is not None:
+            payload["grid"] = grid
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(["quantify", "--config", cfg, *flags], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("precondition error: ") and err.count("\n") == 1
+        assert err.rstrip().endswith(f"got {shown}")
 
 
 class TestQuantifyCommand:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from subplanck import distill
 from subplanck.density import GridSpec, global_maxima, make_grid_density, variance
 from subplanck.distill import (
     GROUND_VARIANCE,
@@ -213,14 +214,30 @@ class TestQuantify:
     @pytest.mark.parametrize(
         "cfg",
         [
-            DistillConfig(layers=13),
-            DistillConfig(layers=-1),
-            DistillConfig(nonuniversal_prelayers=2),
-            DistillConfig(layers=5, conditioning_xbar=0.2),
-            DistillConfig(max_rel_tol=0.0),
-            DistillConfig(transmissivity_grid=4),
+            dict(layers=13),
+            dict(layers=-1),
+            dict(nonuniversal_prelayers=2),
+            dict(layers=5, conditioning_xbar=0.2),
         ],
     )
     def test_config_validation(self, cfg):
+        # an invalid config cannot be built, so quantify never sees one
         with pytest.raises(ValueError):
-            quantify(fock_density(1), cfg)
+            DistillConfig(**cfg)
+
+    def test_filter_runs_only_inside_optimize_filter(self, monkeypatch):
+        calls = []
+        original = distill.filter_with_ground_state
+
+        def counting(q, transmissivity):
+            calls.append(transmissivity)
+            return original(q, transmissivity)
+
+        monkeypatch.setattr(distill, "filter_with_ground_state", counting)
+        p = fock_density(1)
+        quantify(p, DistillConfig(layers=2))
+        in_quantify = len(calls)
+        calls.clear()
+        recentered, _ = displace_to_origin(universal_distill(p, 2))
+        optimize_filter(recentered)
+        assert in_quantify == len(calls)

@@ -1,5 +1,6 @@
 """Catalog densities and the special functions behind them."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -263,6 +264,10 @@ class TestRealize:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidStateSpec):
             realize(StateSpec(kind="weird"))
+
+    def test_invalid_spec_cannot_be_built(self):
+        with pytest.raises(InvalidStateSpec, match="nonnegative"):
+            dataclasses.replace(StateSpec(kind="fock", n=1), n=-1)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidStateSpec, match=r"\['thermal_nbar'\]"):
