@@ -11,7 +11,9 @@ checkout, each against its own ``bench/``, and the side that goes first
 alternates from pair to pair.  The result goes to ``BENCH_<workload>.json`` in the
 repository root (``BENCH_<workload>_trace.json`` with ``--trace``), rewritten
 after every pair: every run, each side's median and quartiles per metric,
-how many pairs the change won per metric, and the core count.
+how many pairs the change won per metric, each end-to-end metric's verdict
+(``gain``, ``worse``, ``unresolved`` or ``within_bound``, see ``verdict``),
+and the core count.
 """
 
 from __future__ import annotations
@@ -68,21 +70,55 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], wins: int, better: str, bound: float) -> str:
+    """One end-to-end metric's verdict over paired runs.
+
+    ``gain``: the change wins at least 9 of every 10 pairs (ties count for
+    neither) and its median beats the parent's by more than the parent's
+    interquartile range.  ``unresolved``: the parent's own interquartile
+    range exceeds ``bound`` times its median, unless every run of the change
+    beats every run of the parent.  ``worse``: the change's median is worse
+    than the parent's by more than ``bound`` times the parent's median.
+    Otherwise ``within_bound``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    p, c = spread(parent), spread(change)
+    iqr = p["q3"] - p["q1"]
+    margin = sign * (c["median"] - p["median"])
+    if 10 * wins >= 9 * len(parent) and margin > iqr:
+        return "gain"
+    all_better = min(sign * v for v in change) > max(sign * v for v in parent)
+    if iqr > bound * abs(p["median"]) and not all_better:
+        return "unresolved"
+    if -margin > bound * abs(p["median"]):
+        return "worse"
+    return "within_bound"
+
+
+def summarize(runs: list[dict], declared: dict[str, dict]) -> dict:
+    """Per metric: each side's median and quartiles; for a metric whose
+    ``declared`` entry (from BENCHMARK.json) names its better direction, the
+    pairs the change won; for one that also has a bound, the verdict."""
     sides = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
+    pairs = list(zip(sides["parent"], sides["change"]))
     metrics = sorted(runs[0]["metrics"])
     summary = {}
     for name in metrics:
-        row = {side: spread([r["metrics"][name] for r in rs]) for side, rs in sides.items()}
-        direction = better.get(name)
+        values = {side: [r["metrics"][name] for r in rs] for side, rs in sides.items()}
+        row = {side: spread(vs) for side, vs in values.items()}
+        direction = declared.get(name, {}).get("better")
         if direction is not None:
             sign = 1.0 if direction == "higher" else -1.0
             wins = sum(
-                sign * (c["metrics"][name] - p["metrics"][name]) > 0.0
-                for p, c in zip(sides["parent"], sides["change"])
+                sign * (c["metrics"][name] - p["metrics"][name]) > 0.0 for p, c in pairs
             )
             row["better"] = direction
             row["change_wins"] = wins
+            bound = declared[name].get("bound")
+            if bound is not None:
+                row["verdict"] = verdict(
+                    values["parent"], values["change"], wins, direction, bound
+                )
         summary[name] = row
     failures = {
         side: {"failed": sum(r["failed"] for r in rs), "attempted": sum(r["attempted"] for r in rs),
@@ -103,7 +139,7 @@ def main() -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    declared = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
     seconds = bench["run_seconds"]
     suffix = "_trace" if args.trace else ""
     out_path = os.path.join(ROOT, f"BENCH_{args.workload}{suffix}.json")
@@ -133,10 +169,14 @@ def main() -> int:
                 print(f"pair {i} seed {seed} {side}: correct={run['correct']} "
                       f"failed={run['failed']}/{run['attempted']}", file=sys.stderr)
             record["pairs"] = i + 1
-            record["summary"] = summarize(record["runs"], better)
+            record["summary"] = summarize(record["runs"], declared)
             with open(out_path, "w") as fh:
                 json.dump(record, fh, indent=1)
                 fh.write("\n")
+    for name, row in record["summary"]["metrics"].items():
+        if "verdict" in row:
+            print(f"{name}: {row['verdict']} (change won {row['change_wins']} of "
+                  f"{record['pairs']})", file=sys.stderr)
     print(out_path)
     return 0
 

@@ -97,6 +97,15 @@ def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _number(cast, value, key: str):
+    """``cast(value)`` for a config value, or a config error naming ``key``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}") from exc
+
+
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Read the config file and fold in command-line overrides."""
     raw: dict = {}
@@ -133,7 +142,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     if len(set(outputs.values())) != len(outputs):
         raise ConfigError("output paths must be distinct")
 
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    seed = args.seed if args.seed is not None else _number(int, raw.get("seed", 0), "seed")
     for name, allowed in (
         ("oracle", ("eps", "batches", "batch_size", "samples_csv")),
         ("sweep", ("parameter", "values", "with_depth")),
@@ -145,8 +154,8 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         density_csv=raw.get("density_csv"),
         rabi_csv=raw.get("rabi_csv"),
         pipeline=pipeline,
-        grid_extent=extent,
-        grid_nodes=int(nodes) if nodes is not None else None,
+        grid_extent=None if extent is None else _number(float, extent, "grid.extent"),
+        grid_nodes=None if nodes is None else _number(int, nodes, "grid.nodes"),
         outputs=outputs,
         seed=seed,
         rabi_model=model,
@@ -162,7 +171,7 @@ def _grid_for(cfg: RunConfig, spec: StateSpec) -> GridSpec | None:
         return None
     grid = default_grid(spec)
     return GridSpec(
-        grid.extent if cfg.grid_extent is None else float(cfg.grid_extent),
+        grid.extent if cfg.grid_extent is None else cfg.grid_extent,
         grid.nodes if cfg.grid_nodes is None else cfg.grid_nodes,
     )
 
@@ -270,10 +279,10 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
         density,
         layers,
         xbar=xbar,
-        eps=float(cfg.oracle.get("eps", 0.02)),
-        batches=int(cfg.oracle.get("batches", 64)),
+        eps=_number(float, cfg.oracle.get("eps", 0.02), "oracle.eps"),
+        batches=_number(int, cfg.oracle.get("batches", 64), "oracle.batches"),
         seed=cfg.seed,
-        batch_size=int(cfg.oracle.get("batch_size", 1 << 17)),
+        batch_size=_number(int, cfg.oracle.get("batch_size", 1 << 17), "oracle.batch_size"),
     )
     reference = (
         binary_sequence_distill(density, layers, xbar)
@@ -312,10 +321,12 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
         raise ConfigError(f"sweep parameter must be one of {_SWEEP_PARAMETERS}")
     values = cfg.sweep.get("values")
     if args.values is not None:
-        values = [float(v) for v in args.values.split(",")]
+        values = [_number(float, v, "--values") for v in args.values.split(",")]
     if not values:
         raise ConfigError("sweep needs a nonempty list of values")
-    values = sorted(float(v) for v in values)
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep.values must be a list of numbers, got {values!r}")
+    values = sorted(_number(float, v, "sweep.values") for v in values)
     with_depth = bool(cfg.sweep.get("with_depth", False))
     if with_depth and parameter == "nbar":
         # the depth is itself an occupation; each point would already be thermal

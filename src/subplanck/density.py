@@ -128,19 +128,35 @@ class MaximumLocation:
     is_global: bool
 
 
-def _log_trapz(log_f: np.ndarray, step: float) -> float:
-    """Log of the trapezoidal integral of exp(log_f)."""
-    finite = np.isfinite(log_f)
-    if not finite.any():
-        return -math.inf
-    w = np.full(log_f.shape[0], step)
+def log_norm(log_p: np.ndarray, x_step: float) -> float:
+    """Log of the trapezoidal integral of exp(log_p), checked.
+
+    Raises :class:`TooFewPoints`, :class:`NonUniformGrid`,
+    :class:`NegativeDensity` (``+inf`` or NaN) and :class:`ZeroMass`: the
+    checks every :class:`GridDensity` passes.
+    """
+    if log_p.ndim != 1 or log_p.shape[0] < MIN_NODES:
+        raise TooFewPoints(f"need at least {MIN_NODES} nodes, got {log_p.shape[0]}")
+    if x_step <= 0.0:
+        raise NonUniformGrid("grid step must be positive")
+    # NaN and +inf both propagate to the maximum
+    top = log_p.max()
+    if not top < math.inf:
+        raise NegativeDensity("log density must be finite or -inf")
+    finite = np.isfinite(log_p)
+    w = np.full(log_p.shape[0], x_step)
     w[0] *= 0.5
     w[-1] *= 0.5
-    m = log_f[finite].max()
-    total = np.sum(np.exp(log_f[finite] - m) * w[finite])
-    if total <= 0.0:
-        return -math.inf
-    return m + math.log(total)
+    # with every entry finite the compress would copy the same array
+    if not finite.all():
+        log_p, w = log_p[finite], w[finite]
+    terms = np.exp(log_p - top)
+    terms *= w
+    total = terms.sum()
+    norm = top + math.log(total) if total > 0.0 else -math.inf
+    if not math.isfinite(norm):
+        raise ZeroMass("density integrates to zero")
+    return norm
 
 
 def from_log_values(
@@ -148,16 +164,7 @@ def from_log_values(
 ) -> GridDensity:
     """Normalize raw log values into a :class:`GridDensity`."""
     log_p = np.asarray(log_p, dtype=float).copy()
-    if log_p.ndim != 1 or log_p.shape[0] < MIN_NODES:
-        raise TooFewPoints(f"need at least {MIN_NODES} nodes, got {log_p.shape[0]}")
-    if x_step <= 0.0:
-        raise NonUniformGrid("grid step must be positive")
-    if np.isposinf(log_p).any() or np.isnan(log_p).any():
-        raise NegativeDensity("log density must be finite or -inf")
-    norm = _log_trapz(log_p, x_step)
-    if not math.isfinite(norm):
-        raise ZeroMass("density integrates to zero")
-    return GridDensity(float(x_min), float(x_step), log_p, norm, meta)
+    return GridDensity(float(x_min), float(x_step), log_p, log_norm(log_p, x_step), meta)
 
 
 def make_grid_density(xs: np.ndarray, ps: np.ndarray, meta: str = "") -> GridDensity:
@@ -320,24 +327,36 @@ def log_interp(d: GridDensity, xq: np.ndarray) -> np.ndarray:
     the whole adjacent open interval, and points outside the grid are zero.
     """
     xq = np.asarray(xq, dtype=float)
-    t = (xq - d.x_min) / d.x_step
+    t = xq.ravel() - d.x_min
+    t /= d.x_step
     n = d.n_nodes
-    out = np.full(xq.shape, -math.inf)
+    out = np.full(t.shape, -math.inf)
     inside = (t >= 0.0) & (t <= n - 1)
-    ti = t[inside]
-    i0 = np.floor(ti).astype(int)
-    np.clip(i0, 0, n - 2, out=i0)
-    frac = ti - i0
-    left = d.log_p[i0]
-    right = d.log_p[i0 + 1]
+    # monotone queries put the in-grid points in one run, read as a slice
+    k = int(np.count_nonzero(inside))
+    start = int(inside.argmax()) if k else 0
+    run = slice(start, start + k)
+    if not inside[run].all():
+        run = inside
+    ti = t[run]
+    base = np.floor(ti)
+    np.minimum(base, n - 2, out=base)
+    frac = ti - base
+    i0 = base.astype(np.intp)
+    left = d.log_p.take(i0)
+    right = d.log_p[1:].take(i0)
+    val = 1.0 - frac
     with np.errstate(invalid="ignore"):
-        val = (1.0 - frac) * left + frac * right
+        val *= left
+        right *= frac
+        val += right
     # at an exact node the neighbor's -inf must not bleed in
-    on_node = frac == 0.0
-    val = np.where(on_node, left, val)
-    val = np.where(np.isnan(val), -math.inf, val)
-    out[inside] = val - d.norm_log
-    return out
+    np.copyto(val, left, where=frac == 0.0)
+    # NaN becomes -inf; fmax keeps every other value as it is
+    np.fmax(val, -math.inf, out=val)
+    val -= d.norm_log
+    out[run] = val
+    return out.reshape(xq.shape)
 
 
 def read_two_columns(path: str) -> tuple[np.ndarray, np.ndarray]:

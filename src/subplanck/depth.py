@@ -28,6 +28,7 @@ from .errors import (
     CutoffTooSmall,
     NoRootInBracket,
     NoSqueezingAtZero,
+    PreconditionError,
 )
 from .phonon import PhononDistribution, phonon_stats
 from .states import StateSpec, realize
@@ -150,7 +151,7 @@ def wigner_negativity_depth(n: int) -> DepthResult:
     at the same occupation.
     """
     if n < 1:
-        raise ValueError("need a nonclassical fock state, n >= 1")
+        raise PreconditionError("need a nonclassical fock state, n >= 1")
     lo, hi = 1e-9, 1.0 - 1e-9
     if n % 2 == 1:
         f = lambda nb: thermal_fock_wigner_origin(n, nb)
@@ -219,7 +220,7 @@ def thermal_fock_number_distribution(
 def fano_depth(n: int) -> DepthResult:
     """Occupation at which the thermalized number statistics reach Fano = 1."""
     if n < 1:
-        raise ValueError("need a sub-Poissonian fock state, n >= 1")
+        raise PreconditionError("need a sub-Poissonian fock state, n >= 1")
 
     def witness(nbar: float) -> float:
         dist = thermal_fock_number_distribution(n, nbar)

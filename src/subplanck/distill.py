@@ -21,9 +21,10 @@ from .density import (
     from_log_values,
     global_maxima,
     log_interp,
+    log_norm,
     pow_scale,
     shift,
-    variance,
+    variance,  # noqa: F401  (unused here; bench/spans.py wraps this name)
 )
 from .errors import (
     FlatMaximum,
@@ -182,10 +183,11 @@ def displace_to_origin(q: GridDensity) -> tuple[GridDensity, MaximumLocation]:
     return shift(q, -chosen.a), chosen
 
 
-def filter_with_ground_state(q: GridDensity, transmissivity: float) -> GridDensity:
-    """Interfere with a ground-state ancilla and condition the tap on zero.
+def _filter_window(q: GridDensity, transmissivity: float):
+    """The filter's output grid and unnormalized log values.
 
-    Output density is proportional to Q(sqrt(T) x) exp(-(1-T) x^2).
+    Returns ``(lo, step, xs, xs*xs, log values)`` of Q(sqrt(T) x)
+    exp(-(1-T) x^2) on a window of Q's node count.
     """
     t = float(transmissivity)
     if not 0.0 < t <= 1.0:
@@ -202,11 +204,39 @@ def filter_with_ground_state(q: GridDensity, transmissivity: float) -> GridDensi
         raise ZeroMassCondition("filter window collapsed")
     n = q.n_nodes
     step = (hi - lo) / (n - 1)
-    xs = lo + step * np.arange(n)
-    log_new = log_interp(q, rt * xs) - weight * xs**2
+    xs = np.arange(n, dtype=float)
+    xs *= step
+    xs += lo
+    xs2 = xs * xs
+    log_new = log_interp(q, rt * xs)
+    log_new -= weight * xs2
     if not np.isfinite(log_new).any():
         raise ZeroMassCondition("filtered density has no mass")
+    return lo, step, xs, xs2, log_new
+
+
+def filter_with_ground_state(q: GridDensity, transmissivity: float) -> GridDensity:
+    """Interfere with a ground-state ancilla and condition the tap on zero.
+
+    Output density is proportional to Q(sqrt(T) x) exp(-(1-T) x^2).
+    """
+    lo, step, _, _, log_new = _filter_window(q, transmissivity)
     return from_log_values(lo, step, log_new, q.meta)
+
+
+def _filtered_variance(q: GridDensity, transmissivity: float) -> float:
+    """``variance(filter_with_ground_state(q, transmissivity))``, to the bit.
+
+    The normalization and both trapezoid moments are taken on the window's
+    own arrays, with the same checks and the same operation order.
+    """
+    _, step, xs, xs2, log_p = _filter_window(q, transmissivity)
+    log_p -= log_norm(log_p, step)
+    v = np.exp(log_p, out=log_p)
+    m1 = float(np.trapezoid(xs * v, dx=step))
+    xs2 *= v
+    m2 = float(np.trapezoid(xs2, dx=step))
+    return m2 - m1 * m1
 
 
 def golden_section(f, a: float, b: float, tol: float):
@@ -242,7 +272,7 @@ def optimize_filter(q: GridDensity) -> tuple[float, float]:
     """
 
     def objective(t: float) -> float:
-        return variance(filter_with_ground_state(q, t))
+        return _filtered_variance(q, t)
 
     ts = np.geomspace(1e-4, 1.0, _TRANSMISSIVITY_POINTS)
     vs = np.array([objective(t) for t in ts])

@@ -166,6 +166,33 @@ class TestConfigErrors:
         code, _, err = run_cli(["sweep", "--config", cfg], capsys)
         assert code == 2 and key in err
 
+    @pytest.mark.parametrize(
+        "command,extra,flags,key",
+        [
+            ("quantify", {"seed": "x"}, [], "seed"),
+            ("quantify", {"seed": 1e400}, [], "seed"),
+            ("quantify", {"grid": {"nodes": "x"}}, [], "grid.nodes"),
+            ("quantify", {"grid": {"extent": "abc"}}, [], "grid.extent"),
+            ("sweep", {"sweep": {"parameter": "layers_N", "values": ["a"]}}, [], "sweep.values"),
+            ("sweep", {"sweep": {"parameter": "layers_N", "values": 3}}, [], "sweep.values"),
+            ("sweep", {"sweep": {"parameter": "layers_N"}}, ["--values", "1,x"], "--values"),
+            ("oracle", {"oracle": {"eps": "wide"}}, [], "oracle.eps"),
+            ("oracle", {"oracle": {"batches": "many"}}, [], "oracle.batches"),
+            ("oracle", {"oracle": {"batch_size": [1]}}, [], "oracle.batch_size"),
+        ],
+        ids=[
+            "seed", "seed-overflow", "grid-nodes", "grid-extent", "sweep-values-item",
+            "sweep-values-scalar", "values-flag", "oracle-eps", "oracle-batches",
+            "oracle-batch_size",
+        ],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, capsys, command, extra, flags, key):
+        payload = {"state": {"kind": "fock", "n": 1}, "pipeline": {"layers": 1}, **extra}
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli([command, "--config", cfg, *flags], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {key} must be ") and err.count("\n") == 1
+
     def test_clashing_output_paths(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -282,6 +309,19 @@ class TestDensityCsvRoundTrip:
 
 
 class TestDepthCommand:
+    @pytest.mark.parametrize(
+        "witness,message",
+        [
+            ("wigner", "need a nonclassical fock state, n >= 1"),
+            ("fano", "need a sub-Poissonian fock state, n >= 1"),
+        ],
+        ids=["wigner", "fano"],
+    )
+    def test_fock0_witness_is_a_precondition_error(self, tmp_path, capsys, witness, message):
+        cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 0}})
+        code, out, err = run_cli(["depth", "--config", cfg, "--witness", witness], capsys)
+        assert (code, out, err) == (3, "", f"precondition error: {message}\n")
+
     def test_wigner_witness(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 2}})
         code, out, _ = run_cli(
