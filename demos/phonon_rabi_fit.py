@@ -20,12 +20,12 @@ def main() -> None:
     rng = np.random.default_rng(42)
     trace = np.clip(rabi_signal(truth, model, times) + rng.normal(0.0, 0.01, times.size), 0.0, 1.0)
 
-    fit = fit_populations(times, trace, model, seed=0)
+    fit = fit_populations(times, trace, model)
     pops = fit.distribution.populations
     print("true vs fitted populations:")
     for n, (t, f) in enumerate(zip(truth, pops)):
         print(f"  P_{n}: {t:.3f}  ->  {f:.3f}")
-    print(f"residual norm {fit.residual_norm:.2e}, {fit.restarts} restarts, "
+    print(f"residual norm {fit.residual_norm:.2e}, "
           f"condition number {fit.condition_number:.1f}")
 
     stats = fit.distribution

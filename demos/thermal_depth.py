@@ -2,8 +2,8 @@
 
 Three witnesses, three thresholds.  For Fock states the Wigner function at
 the origin survives up to nbar = 0.5 independent of n, the sub-Poissonian
-Fano factor dies earlier, and distillable squeezing sits in between,
-converging to about 0.28 as n grows.
+Fano factor dies earlier, at sqrt(n^2 + n) - n, and distillable squeezing
+dies earlier still, converging to about 0.28 as n grows.
 """
 
 from subplanck import (

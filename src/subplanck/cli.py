@@ -98,12 +98,28 @@ def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
 
 
 def _number(cast, value, key: str):
-    """``cast(value)`` for a config value, or a config error naming ``key``."""
+    """``cast(value)`` for a config value, or a config error naming ``key``.
+
+    A boolean is not a number, and an integer setting takes no fraction.
+    """
+    kind = "an integer" if cast is int else "a number"
     try:
-        return cast(value)
+        number = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"{key} must be {kind}, got {value!r}") from exc
+    fraction = cast is int and isinstance(value, float) and number != value
+    if isinstance(value, bool) or fraction:
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return number
+
+
+def _integers(section, where: str, names: tuple[str, ...]):
+    """``section`` with its integer settings ``names`` checked by :func:`_number`."""
+    if not isinstance(section, dict):
+        return section
+    return {
+        k: _number(int, v, f"{where}.{k}") if k in names else v for k, v in section.items()
+    }
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
@@ -125,10 +141,15 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     if len(sources) > 1:
         raise ConfigError(f"config must name exactly one input source, got {sources}")
 
+    pipeline = _integers(
+        raw.get("pipeline", {}), "pipeline", ("layers", "nonuniversal_prelayers")
+    )
+    model = _integers(raw.get("rabi_model"), "rabi_model", ("n_max",))
+    state = _integers(raw.get("state"), "state", ("n", "side_peaks"))
     try:
-        state = StateSpec.from_dict(raw["state"]) if "state" in raw else None
-        pipeline = DistillConfig(**raw.get("pipeline", {}))
-        model = RabiModel(**raw["rabi_model"]) if "rabi_model" in raw else None
+        state = StateSpec.from_dict(state) if "state" in raw else None
+        pipeline = DistillConfig(**pipeline)
+        model = RabiModel(**model) if "rabi_model" in raw else None
     except (QuantifierError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
@@ -180,7 +201,7 @@ def _fit_from_csv(cfg: RunConfig):
     if cfg.rabi_model is None:
         raise ConfigError("rabi_csv input needs a rabi_model section")
     times, pe = read_rabi_csv(cfg.rabi_csv)
-    return fit_populations(times, pe, cfg.rabi_model, seed=cfg.seed)
+    return fit_populations(times, pe, cfg.rabi_model)
 
 
 def resolve_density(cfg: RunConfig) -> GridDensity:
@@ -304,15 +325,8 @@ def _point_state(cfg: RunConfig, parameter: str, value: float) -> StateSpec | No
         return cfg.state
     if cfg.state is None:
         raise ConfigError(f"sweep over {parameter!r} needs a state input")
-    field_map = {
-        "fock_n": ("n", int),
-        "nbar": ("thermal_nbar", float),
-        "alpha": ("alpha", float),
-        "gamma": ("gamma", float),
-        "spacing": ("spacing", float),
-    }
-    field, cast = field_map[parameter]
-    return dataclasses.replace(cfg.state, **{field: cast(value)})
+    field = {"fock_n": "n", "nbar": "thermal_nbar"}.get(parameter, parameter)
+    return dataclasses.replace(cfg.state, **{field: value})
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -327,6 +341,8 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     if not isinstance(values, list):
         raise ConfigError(f"sweep.values must be a list of numbers, got {values!r}")
     values = sorted(_number(float, v, "sweep.values") for v in values)
+    if parameter in ("fock_n", "layers_N"):
+        values = [_number(int, v, "sweep.values") for v in values]
     with_depth = bool(cfg.sweep.get("with_depth", False))
     if with_depth and parameter == "nbar":
         # the depth is itself an occupation; each point would already be thermal
@@ -355,7 +371,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
             )
             pipeline = cfg.pipeline
             if parameter == "layers_N":
-                pipeline = dataclasses.replace(pipeline, layers=int(value))
+                pipeline = dataclasses.replace(pipeline, layers=value)
             report = quantify(density, pipeline)
             row = {
                 "min_variance": report.min_variance,

@@ -3,8 +3,9 @@
 Thermalization is the Gaussian-displacement channel with mean occupation
 ``nbar``; on quadrature densities it acts as a Gaussian blur of variance
 ``nbar``.  Each witness here (distillable squeezing, Wigner negativity at
-the origin, sub-Poissonian number statistics) vanishes at some occupation,
-and the solvers localize that point.
+the origin, sub-Poissonian number statistics) vanishes at some occupation.
+Distillable squeezing is localized by bisection; the other two vanish at
+closed-form occupations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .distill import (
     GROUND_VARIANCE,
     DistillConfig,
     asymptotic_variance,
-    golden_section,
     quantify,
 )
 from .errors import (
@@ -44,8 +44,6 @@ __all__ = [
 
 _SUBPLANCK_BRACKET = (0.0, 2.0)
 _SUBPLANCK_TOL = 1e-3
-_WIGNER_TOL = 1e-6
-_FANO_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -145,24 +143,14 @@ def thermal_fock_wigner_origin(n: int, nbar: float) -> float:
 def wigner_negativity_depth(n: int) -> DepthResult:
     """Occupation washing out the origin Wigner negativity of fock ``n``.
 
-    Odd n: the origin value changes sign, located by bisection.  Even n: the
-    origin value only touches zero, so its minimum is localized by
-    golden-section instead; the negativity elsewhere in phase space vanishes
-    at the same occupation.
+    The origin value is proportional to (2 nbar - 1)^n (see
+    :func:`thermal_fock_wigner_origin`), so it vanishes at nbar = 1/2 for
+    every n: a sign change for odd n, a touch of zero for even n, where the
+    negativity elsewhere in phase space vanishes at the same occupation.
     """
     if n < 1:
         raise PreconditionError("need a nonclassical fock state, n >= 1")
-    lo, hi = 1e-9, 1.0 - 1e-9
-    if n % 2 == 1:
-        f = lambda nb: thermal_fock_wigner_origin(n, nb)
-        root, bracket, iterations = _bisect(f, lo, hi, f(lo), f(hi), _WIGNER_TOL)
-        return DepthResult(root, bracket, "wigner-negativity", iterations)
-    f = lambda nb: abs(thermal_fock_wigner_origin(n, nb))
-    (a, b), _, iterations = golden_section(f, lo, hi, _WIGNER_TOL)
-    root = 0.5 * (a + b)
-    if f(root) > 1e-9:
-        raise NoRootInBracket("origin Wigner value never vanishes in (0, 1)")
-    return DepthResult(root, (a, b), "wigner-negativity", iterations)
+    return DepthResult(0.5, (0.5, 0.5), "wigner-negativity", 0)
 
 
 def thermal_fock_number_distribution(
@@ -218,21 +206,14 @@ def thermal_fock_number_distribution(
 
 
 def fano_depth(n: int) -> DepthResult:
-    """Occupation at which the thermalized number statistics reach Fano = 1."""
+    """Occupation at which the thermalized number statistics reach Fano = 1.
+
+    The channel adds nbar to the mean, n + nbar, and gives the variance
+    (2n + 1) nbar + nbar^2, so Fano = 1 where nbar^2 + 2n nbar - n = 0:
+    nbar = sqrt(n^2 + n) - n, evaluated as n / (n + sqrt(n^2 + n)) to avoid
+    cancellation.
+    """
     if n < 1:
         raise PreconditionError("need a sub-Poissonian fock state, n >= 1")
-
-    def witness(nbar: float) -> float:
-        dist = thermal_fock_number_distribution(n, nbar)
-        assert dist.fano is not None
-        return dist.fano - 1.0
-
-    lo, hi = 1e-6, 1.0 - 1e-9
-    w_lo = witness(lo)
-    w_hi = witness(hi)
-    if not w_lo < 0.0 < w_hi:
-        raise NoRootInBracket(
-            f"Fano witness does not cross 1 on ({lo}, {hi}): {w_lo:.4f}..{w_hi:.4f}"
-        )
-    root, bracket, iterations = _bisect(witness, lo, hi, w_lo, w_hi, _FANO_TOL)
-    return DepthResult(root, bracket, "fano", iterations)
+    root = n / (n + math.sqrt(n * n + n))
+    return DepthResult(root, (root, root), "fano", 0)

@@ -81,6 +81,10 @@ class DistillConfig:
     prelayer_xbar: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("layers", "nonuniversal_prelayers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.layers <= _MAX_LAYERS:
             raise ValueError(f"layers must lie in 0..{_MAX_LAYERS}")
         if self.nonuniversal_prelayers not in (0, 1):

@@ -1,9 +1,10 @@
 """Motional population statistics and blue-sideband Rabi reconstruction.
 
 An excited-state trace P_e(t) is a population-weighted sum of sideband Rabi
-oscillations with a collective decay envelope.  Populations are recovered by
-simplex-constrained least squares; the constraint is enforced through a
-softmax reparameterization so the solver itself stays unconstrained.
+oscillations with a collective decay envelope.  The trace is linear in the
+populations, so recovering them is least squares on the probability simplex:
+a convex problem with one global optimum, solved exactly by one
+nonnegative least-squares call.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import nnls
 from scipy.special import eval_genlaguerre
 
 from .density import read_two_columns
@@ -73,6 +74,8 @@ class RabiModel:
             raise ValueError("omega01 must be positive")
         if self.gamma_decay < 0.0:
             raise ValueError("gamma_decay must be nonnegative")
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.scaling not in ("sqrt", "lamb_dicke"):
@@ -88,7 +91,6 @@ class PopulationFit:
     distribution: PhononDistribution
     residual_norm: float
     condition_number: float
-    restarts: int
 
 
 def check_populations(p: np.ndarray) -> np.ndarray:
@@ -154,63 +156,48 @@ def _design_matrix(model: RabiModel, ts: np.ndarray) -> np.ndarray:
     return np.sin(phases) ** 2 * damp
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def fit_populations(
-    times: np.ndarray,
-    p_excited: np.ndarray,
-    model: RabiModel,
-    seed: int = 0,
-    restarts: int = 8,
+    times: np.ndarray, p_excited: np.ndarray, model: RabiModel
 ) -> PopulationFit:
     """Reconstruct number populations from a sideband Rabi trace.
 
-    Least squares on softmax-parameterized populations (automatically
-    nonnegative and normalized), started flat plus ``restarts`` seeded random
-    starts; the best optimum wins.  Needs at least 3 samples per population.
+    Minimizes ||A p - y|| over the simplex (p >= 0, sum p = 1), where A is
+    the design matrix, exactly.  On the simplex A p - y = (A - y 1^T) p =: M p,
+    so one nonnegative least-squares solve of the lifted problem
+
+        q* = argmin_{q >= 0} ||M q||^2 + (1^T q - 1)^2
+
+    gives the optimum as p* = q* / sum q*: writing q = s p with p on the
+    simplex, the objective is s^2 ||M p||^2 + (s - 1)^2, which for every
+    s > 0 is minimized by the same p, the simplex optimum, and then by
+    s = 1 / (1 + ||M p*||^2) > 0.  Needs finite data and at least 3 samples
+    per population.
     """
     ts = np.asarray(times, dtype=float)
     pe = np.asarray(p_excited, dtype=float)
     if ts.ndim != 1 or ts.shape != pe.shape:
         raise InsufficientData("times and p_excited must be 1D arrays of equal length")
+    if not (np.isfinite(ts).all() and np.isfinite(pe).all()):
+        raise InsufficientData("trace holds non-finite values (nan or inf)")
     n_params = model.n_max + 1
     if ts.shape[0] < 3 * n_params:
         raise InsufficientData(
             f"{ts.shape[0]} samples cannot constrain {n_params} populations"
         )
     design = _design_matrix(model, ts)
-
-    def residuals(z: np.ndarray) -> np.ndarray:
-        return design @ _softmax(z) - pe
-
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(n_params)]
-    starts += [rng.normal(0.0, 2.0, n_params) for _ in range(restarts)]
-    best_z: np.ndarray | None = None
-    best_cost = math.inf
-    for z0 in starts:
-        sol = least_squares(
-            residuals, z0, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12,
-            max_nfev=4000,
-        )
-        if sol.cost < best_cost:
-            best_cost = sol.cost
-            best_z = sol.x
-    assert best_z is not None
-    resid = residuals(best_z)
+    lifted = np.vstack((design - pe[:, None], np.ones(n_params)))
+    rhs = np.zeros(ts.shape[0] + 1)
+    rhs[-1] = 1.0
+    q, _ = nnls(lifted, rhs)
+    pops = q / q.sum()
+    resid = design @ pops - pe
     rms = float(np.sqrt(np.mean(resid**2)))
     if rms > _DIVERGENCE_RMS:
         raise FitDiverged(f"best fit leaves residual RMS {rms:.3f}")
-    pops = _softmax(best_z)
-    pops = pops / pops.sum()
     return PopulationFit(
         distribution=phonon_stats(pops),
         residual_norm=float(np.linalg.norm(resid)),
         condition_number=float(np.linalg.cond(design)),
-        restarts=restarts,
     )
 
 

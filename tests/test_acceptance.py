@@ -317,10 +317,10 @@ def test_a13_phonon_populations_round_trip():
         pops[n] = 1.0
         times = np.linspace(0.0, 60.0, max(240, 12 * (n + 1)))
         trace = rabi_signal(pops, model, times)
-        fit = fit_populations(times, trace, model, seed=0)
+        fit = fit_populations(times, trace, model)
         worst_tv = max(worst_tv, 0.5 * float(np.sum(np.abs(fit.distribution.populations - pops))))
         noisy = trace + np.random.default_rng(7 + n).normal(0.0, 0.01, trace.size)
-        fitn = fit_populations(times, np.clip(noisy, 0.0, 1.0), model, seed=1)
+        fitn = fit_populations(times, np.clip(noisy, 0.0, 1.0), model)
         worst_dom = max(worst_dom, abs(fitn.distribution.populations[n] - 1.0))
     ok = worst_tv <= 1e-3 and worst_dom <= 0.03
     report(

@@ -22,13 +22,15 @@ from subplanck.phonon import RabiModel, rabi_signal
 from subplanck.states import fock_density
 
 # layers_N sweeps of a Rabi trace of Fock 1 (fitted populations) and of the
-# Fock 1 state with its asymptotic depth, as the per-point sweep wrote them
+# Fock 1 state with its asymptotic depth, as the per-point sweep wrote them.
+# The exact fit of the 9-digit trace leaves 1.05e-10 on n = 0, so the Rabi
+# table agrees with the direct Fock 1 table to ~2e-11.
 RABI_LAYERS_TABLE = """\
 layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,error
-1,0.337038661643,-1.71290282767,0.25000114984,0.741758077904,
-2,0.306089380537,-2.13121741888,0.25000114984,0.816758652002,
-3,0.284148173432,-2.45425135688,0.25000114984,0.879826700343,
-4,0.270005940765,-2.67596684574,0.25000114984,0.925909811953,
+1,0.337038979892,-1.71289872684,0.2500013018,0.741757828367,
+2,0.306089615943,-2.13121407882,0.2500013018,0.816758520311,
+3,0.28414868177,-2.45424358741,0.2500013018,0.879825661139,
+4,0.270006132956,-2.67596375441,0.2500013018,0.925909715691,
 """
 FOCK1_LAYERS_DEPTH_TABLE = """\
 layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,nbar_star,error
@@ -179,11 +181,38 @@ class TestConfigErrors:
             ("oracle", {"oracle": {"eps": "wide"}}, [], "oracle.eps"),
             ("oracle", {"oracle": {"batches": "many"}}, [], "oracle.batches"),
             ("oracle", {"oracle": {"batch_size": [1]}}, [], "oracle.batch_size"),
+            ("quantify", {"grid": {"nodes": 4096.9}}, [], "grid.nodes"),
+            ("quantify", {"seed": 2.7}, [], "seed"),
+            ("quantify", {"seed": True}, [], "seed"),
+            ("oracle", {"oracle": {"batches": 2.5}}, [], "oracle.batches"),
+            ("quantify", {"grid": {"extent": True}}, [], "grid.extent"),
+            ("quantify", {"pipeline": {"layers": 1.5}}, [], "pipeline.layers"),
+            ("quantify", {"pipeline": {"layers": True}}, [], "pipeline.layers"),
+            (
+                "quantify",
+                {"pipeline": {"layers": 1, "nonuniversal_prelayers": 0.5}},
+                [],
+                "pipeline.nonuniversal_prelayers",
+            ),
+            ("quantify", {"rabi_model": {"omega01": 0.3, "n_max": 2.5}}, [], "rabi_model.n_max"),
+            ("quantify", {"state": {"kind": "fock", "n": 1.5}}, [], "state.n"),
+            ("quantify", {"state": {"kind": "fock", "n": True}}, [], "state.n"),
+            (
+                "quantify",
+                {"state": {"kind": "gkp", "delta": 0.3, "side_peaks": 1.5, "spacing": 2.5}},
+                [],
+                "state.side_peaks",
+            ),
+            ("sweep", {"sweep": {"parameter": "fock_n", "values": [1.5]}}, [], "sweep.values"),
+            ("sweep", {"sweep": {"parameter": "layers_N"}}, ["--values", "1,2.5"], "sweep.values"),
         ],
         ids=[
             "seed", "seed-overflow", "grid-nodes", "grid-extent", "sweep-values-item",
             "sweep-values-scalar", "values-flag", "oracle-eps", "oracle-batches",
-            "oracle-batch_size",
+            "oracle-batch_size", "grid-nodes-fraction", "seed-fraction", "seed-bool",
+            "oracle-batches-fraction", "grid-extent-bool", "layers-fraction", "layers-bool",
+            "prelayers-fraction", "n_max-fraction", "state-n-fraction", "state-n-bool",
+            "side_peaks-fraction", "fock_n-fraction", "layers_N-fraction",
         ],
     )
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, extra, flags, key):
@@ -691,6 +720,17 @@ class TestFitPhononsCommand:
     def test_needs_rabi_input(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 1}})
         assert run_cli(["fit-phonons", "--config", cfg], capsys)[0] == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_row_is_a_precondition_error(self, tmp_path, capsys, bad):
+        cfg = rabi_trace_config(tmp_path, [0.1, 0.8, 0.1])
+        csv = Path(json.loads(Path(cfg).read_text())["rabi_csv"])
+        rows = csv.read_text().splitlines()
+        rows[7] = rows[7].split(",")[0] + "," + bad
+        csv.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(["fit-phonons", "--config", cfg], capsys)
+        assert (code, out) == (3, "")
+        assert err == "precondition error: trace holds non-finite values (nan or inf)\n"
 
     def test_needs_model_section(self, tmp_path, capsys):
         csv = tmp_path / "trace.csv"

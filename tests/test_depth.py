@@ -62,6 +62,12 @@ class TestWignerDepth:
         result = wigner_negativity_depth(n)
         assert result.nbar_star == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_closed_form(self, n):
+        result = wigner_negativity_depth(n)
+        assert (result.nbar_star, result.bracket, result.iterations) == (0.5, (0.5, 0.5), 0)
+        assert thermal_fock_wigner_origin(n, result.nbar_star) == 0.0
+
     def test_ground_rejected(self):
         with pytest.raises(ValueError):
             wigner_negativity_depth(0)
@@ -88,6 +94,13 @@ class TestNumberDistribution:
         n, nbar = 3, 0.7
         dist = thermal_fock_number_distribution(n, nbar)
         assert dist.variance == pytest.approx(nbar * (nbar + 2 * n + 1), abs=1e-6)
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_moments_closed_form(self, n):
+        for nbar in np.linspace(0.05, 2.0, 9):
+            dist = thermal_fock_number_distribution(n, nbar)
+            assert abs(dist.mean - (n + nbar)) <= 1e-10
+            assert abs(dist.variance - ((2 * n + 1) * nbar + nbar**2)) <= 1e-10
 
     def test_normalized_and_nonnegative(self):
         pops = thermal_fock_number_distribution(5, 0.9).populations
@@ -121,6 +134,16 @@ class TestFanoDepth:
         result = fano_depth(n)
         assert result.nbar_star == pytest.approx(expected, abs=2e-4)
         assert result.witness == "fano"
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_closed_form_is_the_crossing(self, n):
+        result = fano_depth(n)
+        assert result.bracket == (result.nbar_star, result.nbar_star)
+        assert result.iterations == 0
+        assert result.nbar_star == pytest.approx(math.sqrt(n * n + n) - n, rel=1e-15)
+        # independent route: the number populations at the depth are Poissonian
+        fano = thermal_fock_number_distribution(n, result.nbar_star).fano
+        assert abs(fano - 1.0) <= 1e-10
 
     def test_depth_grows_with_n(self):
         roots = [fano_depth(n).nbar_star for n in (1, 2, 4)]

@@ -235,6 +235,11 @@ class TestQuantify:
             dict(layers=-1),
             dict(nonuniversal_prelayers=2),
             dict(layers=5, conditioning_xbar=0.2),
+            dict(layers=1.5),
+            dict(layers=2.0),
+            dict(layers=True),
+            dict(nonuniversal_prelayers=0.5),
+            dict(nonuniversal_prelayers=False),
         ],
     )
     def test_config_validation(self, cfg):

@@ -1,10 +1,14 @@
 """Population statistics, sideband Rabi model, and trace reconstruction."""
 
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from subplanck.cli import main
 from subplanck.errors import FitDiverged, InsufficientData, InvalidPopulations
 from subplanck.phonon import (
     RabiModel,
@@ -22,6 +26,62 @@ def point_mass(n, size):
     pops = np.zeros(size)
     pops[n] = 1.0
     return pops
+
+
+def design_matrix(model, ts):
+    size = model.n_max + 1
+    return np.column_stack([rabi_signal(point_mass(n, size), model, ts) for n in range(size)])
+
+
+def softmax_fit(ts, pe, model, seed=0, restarts=8):
+    """The earlier fit, kept as a reference: least squares on softmax weights,
+    started flat and from ``restarts`` seeded random points, best cost wins."""
+    design = design_matrix(model, ts)
+
+    def softmax(z):
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+    def residuals(z):
+        return design @ softmax(z) - pe
+
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(design.shape[1])]
+    starts += [rng.normal(0.0, 2.0, design.shape[1]) for _ in range(restarts)]
+    best = min(
+        (
+            least_squares(
+                residuals, z0, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12,
+                max_nfev=4000,
+            )
+            for z0 in starts
+        ),
+        key=lambda sol: sol.cost,
+    )
+    pops = softmax(best.x)
+    return pops / pops.sum()
+
+
+def battery(n_max):
+    """Traces of one ladder size: noise-free and noisy, with and without
+    decay, on both frequency ladders; odd sizes end in a point mass, even
+    sizes carry a full-support mixture."""
+    rng = np.random.default_rng(n_max)
+    truth = point_mass(n_max, n_max + 1)
+    if n_max % 2 == 0:
+        truth = rng.dirichlet(np.ones(n_max + 1))
+    ts = np.linspace(0.0, 60.0, max(60, 12 * (n_max + 1)))
+    for noise, decay, scaling in itertools.product(
+        (0.0, 0.01), (0.0, 0.01), ("sqrt", "lamb_dicke")
+    ):
+        model = RabiModel(
+            omega01=OMEGA, gamma_decay=decay, n_max=n_max, scaling=scaling,
+            lamb_dicke=0.2 if scaling == "lamb_dicke" else 0.0,
+        )
+        pe = rabi_signal(truth, model, ts)
+        if noise:
+            pe = pe + rng.normal(0.0, noise, ts.shape[0])
+        yield truth, model, ts, pe, noise
 
 
 class TestPhononStats:
@@ -90,6 +150,9 @@ class TestRabiFrequencies:
             RabiModel(omega01=OMEGA, scaling="linear")
         with pytest.raises(ValueError):
             RabiModel(omega01=OMEGA, scaling="lamb_dicke")
+        for n_max in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="n_max must be an integer"):
+                RabiModel(omega01=OMEGA, n_max=n_max)
 
 
 class TestRabiSignal:
@@ -131,7 +194,7 @@ class TestFitPopulations:
         model = RabiModel(omega01=OMEGA, gamma_decay=0.01, n_max=10)
         ts = np.linspace(0.0, 60.0, 240)
         pe = rabi_signal(point_mass(10, 11), model, ts)
-        fit = fit_populations(ts, pe, model, seed=0, restarts=3)
+        fit = fit_populations(ts, pe, model)
         assert fit.distribution.populations[10] >= 0.999
 
     def test_noisy_mixture(self):
@@ -141,7 +204,7 @@ class TestFitPopulations:
         ts = np.linspace(0.0, 60.0, 240)
         rng = np.random.default_rng(17)
         pe = rabi_signal(truth, model, ts) + rng.normal(0.0, 0.01, ts.shape[0])
-        fit = fit_populations(ts, pe, model, seed=0, restarts=3)
+        fit = fit_populations(ts, pe, model)
         assert fit.distribution.populations[10] == pytest.approx(0.90, abs=0.03)
         assert fit.distribution.fano is not None and fit.distribution.fano < 1.0
 
@@ -151,7 +214,7 @@ class TestFitPopulations:
         model = RabiModel(omega01=OMEGA, gamma_decay=0.02, n_max=4)
         ts = np.linspace(0.0, 50.0, 90)
         pe = rabi_signal(truth, model, ts)
-        fit = fit_populations(ts, pe, model, seed=0, restarts=4)
+        fit = fit_populations(ts, pe, model)
         tv = 0.5 * np.sum(np.abs(fit.distribution.populations - truth))
         assert tv <= 1e-3
         assert fit.residual_norm <= 1e-6
@@ -160,9 +223,47 @@ class TestFitPopulations:
         model = RabiModel(omega01=OMEGA, n_max=1)
         ts = np.linspace(0.0, 30.0, 24)
         pe = rabi_signal(np.array([0.3, 0.7]), model, ts)
-        fit = fit_populations(ts, pe, model, seed=0, restarts=2)
+        fit = fit_populations(ts, pe, model)
         assert fit.condition_number >= 1.0
-        assert fit.restarts == 2
+
+    @pytest.mark.parametrize("n_max", range(1, 12))
+    def test_cost_never_above_the_softmax_fit(self, n_max):
+        for _, model, ts, pe, _ in battery(n_max):
+            design = design_matrix(model, ts)
+            exact = fit_populations(ts, pe, model).distribution.populations
+            reference = softmax_fit(ts, pe, model)
+            cost = float(np.sum((design @ exact - pe) ** 2))
+            assert cost <= float(np.sum((design @ reference - pe) ** 2)) + 1e-12
+
+    @pytest.mark.parametrize("n_max", range(1, 12))
+    def test_kkt_certificate(self, n_max):
+        # simplex optimum: the gradient A^T (A p - y) equals -lambda on the
+        # support and is at least -lambda on the zero set
+        for _, model, ts, pe, _ in battery(n_max):
+            design = design_matrix(model, ts)
+            pops = fit_populations(ts, pe, model).distribution.populations
+            grad = design.T @ (design @ pops - pe)
+            support = pops > 0.0
+            level = grad[support].mean()
+            assert np.max(np.abs(grad[support] - level)) <= 1e-12
+            assert np.all(grad[~support] >= level - 1e-12)
+
+    @pytest.mark.parametrize("n_max", range(1, 12))
+    def test_noise_free_recovery_is_exact(self, n_max):
+        for truth, model, ts, pe, noise in battery(n_max):
+            if noise:
+                continue
+            pops = fit_populations(ts, pe, model).distribution.populations
+            assert 0.5 * np.sum(np.abs(pops - truth)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_trace_rejected(self, bad):
+        model = RabiModel(omega01=OMEGA, n_max=1)
+        ts = np.linspace(0.0, 30.0, 24)
+        pe = rabi_signal(np.array([0.3, 0.7]), model, ts)
+        pe[5] = bad
+        with pytest.raises(InsufficientData, match="non-finite"):
+            fit_populations(ts, pe, model)
 
     def test_undersampled_trace_rejected(self):
         model = RabiModel(omega01=OMEGA, n_max=4)
@@ -180,7 +281,25 @@ class TestFitPopulations:
         ts = np.linspace(0.0, 40.0, 40)
         rng = np.random.default_rng(3)
         with pytest.raises(FitDiverged):
-            fit_populations(ts, rng.uniform(0.0, 1.0, 40), model, restarts=2)
+            fit_populations(ts, rng.uniform(0.0, 1.0, 40), model)
+
+
+class TestFitPhononsSeed:
+    def test_bytes_do_not_depend_on_seed(self, tmp_path, capsys):
+        model = {"omega01": OMEGA, "gamma_decay": 0.01, "n_max": 3}
+        ts = np.linspace(0.0, 60.0, 60)
+        truth = np.array([0.1, 0.2, 0.6, 0.1])
+        pe = rabi_signal(truth, RabiModel(**model), ts)
+        pe = pe + np.random.default_rng(2).normal(0.0, 0.01, ts.shape[0])
+        csv = tmp_path / "trace.csv"
+        csv.write_text("".join(f"{t:.17g},{p:.17g}\n" for t, p in zip(ts, pe)))
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps({"rabi_csv": str(csv), "rabi_model": model}))
+        outputs = set()
+        for seed in ("0", "1", "12345"):
+            assert main(["fit-phonons", "--config", str(cfg), "--seed", seed]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
 
 
 class TestReadRabiCsv:
