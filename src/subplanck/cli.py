@@ -25,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import GridDensity, GridSpec, read_density_csv, write_density_csv
-from .depth import (
-    DepthResult,
-    fano_depth,
-    subplanck_depth,
-    wigner_negativity_depth,
-)
+from .depth import fano_depth, subplanck_depth, wigner_negativity_depth
 from .distill import (
     DistillConfig,
     binary_sequence_distill,
@@ -276,7 +271,6 @@ def cmd_depth(cfg: RunConfig, args: argparse.Namespace) -> None:
             result = wigner_negativity_depth(cfg.state.n)
         else:
             result = fano_depth(cfg.state.n)
-    assert isinstance(result, DepthResult)
     _emit(canonical_json(result.to_dict()), _report_path(cfg, args))
 
 
@@ -296,15 +290,13 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
     density = resolve_density(cfg)
     layers = cfg.pipeline.layers
     xbar = cfg.pipeline.conditioning_xbar
-    run = simulate_protocol(
-        density,
-        layers,
-        xbar=xbar,
-        eps=_number(float, cfg.oracle.get("eps", 0.02), "oracle.eps"),
-        batches=_number(int, cfg.oracle.get("batches", 64), "oracle.batches"),
-        seed=cfg.seed,
-        batch_size=_number(int, cfg.oracle.get("batch_size", 1 << 17), "oracle.batch_size"),
-    )
+    # unset keys keep simulate_protocol's defaults
+    settings = {
+        key: _number(cast, cfg.oracle[key], f"oracle.{key}")
+        for key, cast in (("eps", float), ("batches", int), ("batch_size", int))
+        if key in cfg.oracle
+    }
+    run = simulate_protocol(density, layers, xbar=xbar, seed=cfg.seed, **settings)
     reference = (
         binary_sequence_distill(density, layers, xbar)
         if xbar != 0.0
@@ -479,17 +471,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in (
-        "config",
-        "seed",
-        "out",
-        "grid_nodes",
-        "grid_extent",
-        "witness",
-        "asymptotic",
-        "parameter",
-        "values",
-    ):
+    # the shared flags are suppressed when absent; each subcommand's own
+    # flags always carry a default
+    for name in ("config", "seed", "out", "grid_nodes", "grid_extent"):
         if not hasattr(args, name):
             setattr(args, name, None)
     try:

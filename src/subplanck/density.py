@@ -56,6 +56,12 @@ MIN_NODES = 64
 # that pads the grid with exact zeros may run.
 _EDGE_DECAY_GUARD = 1e-9
 
+# Maxima within this relative height of the highest count as global.
+GLOBAL_REL_TOL = 1e-3
+
+# Nodes on each side of the point in the quartic curvature fit.
+CURVATURE_WINDOW = 8
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -93,7 +99,6 @@ class GridDensity:
     x_step: float
     log_p: np.ndarray
     norm_log: float
-    meta: str = ""
 
     def __post_init__(self) -> None:
         self.log_p.setflags(write=False)
@@ -159,15 +164,13 @@ def log_norm(log_p: np.ndarray, x_step: float) -> float:
     return norm
 
 
-def from_log_values(
-    x_min: float, x_step: float, log_p: np.ndarray, meta: str = ""
-) -> GridDensity:
+def from_log_values(x_min: float, x_step: float, log_p: np.ndarray) -> GridDensity:
     """Normalize raw log values into a :class:`GridDensity`."""
     log_p = np.asarray(log_p, dtype=float).copy()
-    return GridDensity(float(x_min), float(x_step), log_p, log_norm(log_p, x_step), meta)
+    return GridDensity(float(x_min), float(x_step), log_p, log_norm(log_p, x_step))
 
 
-def make_grid_density(xs: np.ndarray, ps: np.ndarray, meta: str = "") -> GridDensity:
+def make_grid_density(xs: np.ndarray, ps: np.ndarray) -> GridDensity:
     """Build a normalized density from sampled values.
 
     :param xs: strictly increasing, uniformly spaced abscissas (>= 64 of them,
@@ -190,7 +193,7 @@ def make_grid_density(xs: np.ndarray, ps: np.ndarray, meta: str = "") -> GridDen
         raise NegativeDensity("density values must be nonnegative")
     with np.errstate(divide="ignore"):
         log_p = np.log(ps)
-    return from_log_values(float(xs[0]), h, log_p, meta)
+    return from_log_values(float(xs[0]), h, log_p)
 
 
 def mean(d: GridDensity) -> float:
@@ -207,15 +210,13 @@ def variance(d: GridDensity) -> float:
     return m2 - m1 * m1
 
 
-def global_maxima(d: GridDensity, rel_tol: float = 1e-3) -> list[MaximumLocation]:
+def global_maxima(d: GridDensity) -> list[MaximumLocation]:
     """Locate all interior local maxima, parabola-refined, sorted by height.
 
-    A maximum is flagged global when its refined value is within ``rel_tol``
-    (relative) of the highest one.  Raises :class:`NoInteriorMaximum` when the
-    density peaks at a grid edge.
+    A maximum is flagged global when its refined value is within
+    ``GLOBAL_REL_TOL`` (relative) of the highest one.  Raises
+    :class:`NoInteriorMaximum` when the density peaks at a grid edge.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
     v = d.values()
     n = v.shape[0]
     top = int(np.argmax(v))
@@ -234,21 +235,20 @@ def global_maxima(d: GridDensity, rel_tol: float = 1e-3) -> list[MaximumLocation
     a = d.x_min + (i + delta) * h
     value = y2 - 0.25 * (y1 - y3) * delta
     curvature = np.where(flat, 0.0, denom / h**2)
-    is_global = value >= (1.0 - rel_tol) * value.max()
+    is_global = value >= (1.0 - GLOBAL_REL_TOL) * value.max()
     # a stable sort keeps equal heights in grid order
     order = np.argsort(-value, kind="stable")
     columns = (x[order].tolist() for x in (a, value, curvature, is_global))
     return [MaximumLocation(*fields) for fields in zip(*columns)]
 
 
-def curvature_at(d: GridDensity, a: float, window: int = 8) -> float:
+def curvature_at(d: GridDensity, a: float) -> float:
     """Second derivative of the density at ``a`` from a quartic LSQ fit.
 
-    The fit uses ``2*window + 1`` nodes centered on the node nearest ``a``
-    and reproduces exact quartics to machine precision.
+    The fit uses ``2*CURVATURE_WINDOW + 1`` nodes centered on the node
+    nearest ``a`` and reproduces exact quartics to machine precision.
     """
-    if window < 5:
-        raise WindowOutOfRange("window must span at least 5 nodes per side")
+    window = CURVATURE_WINDOW
     j = int(round((a - d.x_min) / d.x_step))
     if j - window < 0 or j + window > d.n_nodes - 1:
         raise WindowOutOfRange(
@@ -262,7 +262,7 @@ def curvature_at(d: GridDensity, a: float, window: int = 8) -> float:
     return float(2.0 * coef[2] / d.x_step**2)
 
 
-def convolve_gaussian(d: GridDensity, var: float, meta: str | None = None) -> GridDensity:
+def convolve_gaussian(d: GridDensity, var: float) -> GridDensity:
     """Convolve with a zero-mean Gaussian of variance ``var``.
 
     The grid is extended so the smeared tails still decay at the edges; the
@@ -290,9 +290,7 @@ def convolve_gaussian(d: GridDensity, var: float, meta: str | None = None) -> Gr
     np.clip(out, 0.0, None, out=out)
     with np.errstate(divide="ignore"):
         log_out = np.log(out)
-    return from_log_values(
-        d.x_min - pad * h, h, log_out, d.meta if meta is None else meta
-    )
+    return from_log_values(d.x_min - pad * h, h, log_out)
 
 
 def pow_scale(d: GridDensity, copies: int) -> GridDensity:
@@ -310,7 +308,7 @@ def pow_scale(d: GridDensity, copies: int) -> GridDensity:
     if not np.isfinite(log_new).any():
         raise DegenerateResult("all density values vanished under powering")
     try:
-        return from_log_values(d.x_min * r, d.x_step * r, log_new, d.meta)
+        return from_log_values(d.x_min * r, d.x_step * r, log_new)
     except ZeroMass as exc:  # pragma: no cover - defensive
         raise DegenerateResult(str(exc)) from exc
 
@@ -395,7 +393,7 @@ def read_two_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
 def read_density_csv(path: str) -> GridDensity:
     """Load ``x,density`` rows (header optional) into a normalized density."""
     xs, ps = read_two_columns(path)
-    return make_grid_density(xs, ps, meta=path)
+    return make_grid_density(xs, ps)
 
 
 def write_density_csv(d: GridDensity, path: str) -> None:

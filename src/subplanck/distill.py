@@ -59,6 +59,8 @@ _FILTER_CUT = 45.0
 
 _SQRT2 = math.sqrt(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Bracket width at which the transmissivity search stops.
+_GOLDEN_TOL = 1e-5
 _MAX_LAYERS = 12
 _MAX_CONDITIONED_LAYERS = 4
 _TRANSMISSIVITY_POINTS = 64
@@ -153,7 +155,7 @@ def binary_sequence_distill(p: GridDensity, layers: int, xbar: float) -> GridDen
         log_new += log_interp(p, xs_new / scale + offset)
     if not np.isfinite(log_new).any():
         raise ZeroMassCondition("conditioning removed all probability mass")
-    return from_log_values(xs_new[0], p.x_step * scale, log_new, p.meta)
+    return from_log_values(xs_new[0], p.x_step * scale, log_new)
 
 
 def nonuniversal_layer(p: GridDensity, xbar: float) -> GridDensity:
@@ -170,15 +172,15 @@ def nonuniversal_layer(p: GridDensity, xbar: float) -> GridDensity:
     log_new += log_interp(p, (xbar - xs_new) / _SQRT2)
     if not np.isfinite(log_new).any():
         raise ZeroMassCondition("conditioning removed all probability mass")
-    return from_log_values(xs_new[0], p.x_step * _SQRT2, log_new, p.meta)
+    return from_log_values(xs_new[0], p.x_step * _SQRT2, log_new)
 
 
 def displace_to_origin(q: GridDensity) -> tuple[GridDensity, MaximumLocation]:
     """Shift the selected global maximum to x = 0.
 
-    Among maxima within a relative 1e-3 of the highest (``global_maxima``'s
-    default), the one with the smallest nonnegative position wins (ties in
-    symmetric densities break toward +x).
+    Among the global maxima (within a relative ``density.GLOBAL_REL_TOL``
+    of the highest), the one with the smallest nonnegative position wins
+    (ties in symmetric densities break toward +x).
     """
     maxima = global_maxima(q)
     globals_ = [m for m in maxima if m.is_global]
@@ -225,7 +227,7 @@ def filter_with_ground_state(q: GridDensity, transmissivity: float) -> GridDensi
     Output density is proportional to Q(sqrt(T) x) exp(-(1-T) x^2).
     """
     lo, step, _, _, log_new = _filter_window(q, transmissivity)
-    return from_log_values(lo, step, log_new, q.meta)
+    return from_log_values(lo, step, log_new)
 
 
 def _filtered_variance(q: GridDensity, transmissivity: float) -> float:
@@ -243,19 +245,14 @@ def _filtered_variance(q: GridDensity, transmissivity: float) -> float:
     return m2 - m1 * m1
 
 
-def golden_section(f, a: float, b: float, tol: float):
-    """Golden-section minimum of f on [a, b] down to bracket width tol.
-
-    Returns ``((a, b), (x, f(x)), iterations)``: the final bracket, the
-    better of its two interior points, and the number of bracket shrinks.
-    """
+def golden_section(f, a: float, b: float) -> tuple[float, float]:
+    """Golden-section minimum of f on [a, b] down to bracket width
+    ``_GOLDEN_TOL``; returns the better interior point as ``(x, f(x))``."""
     c = b - (b - a) * _INV_PHI
     d = a + (b - a) * _INV_PHI
     fc = f(c)
     fd = f(d)
-    iterations = 0
-    while (b - a) > tol:
-        iterations += 1
+    while (b - a) > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INV_PHI
@@ -264,7 +261,7 @@ def golden_section(f, a: float, b: float, tol: float):
             a, c, fc = c, d, fd
             d = a + (b - a) * _INV_PHI
             fd = f(d)
-    return (a, b), ((c, fc) if fc < fd else (d, fd)), iterations
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def optimize_filter(q: GridDensity) -> tuple[float, float]:
@@ -283,7 +280,7 @@ def optimize_filter(q: GridDensity) -> tuple[float, float]:
     k = int(np.argmin(vs))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, ts.shape[0] - 1)]
-    _, (best_t, best_v), _ = golden_section(objective, float(lo), float(hi), 1e-5)
+    best_t, best_v = golden_section(objective, float(lo), float(hi))
     # keep exact endpoints competitive with the refined interior point
     for t_cand, v_cand in ((float(ts[k]), float(vs[k])), (1.0, float(vs[-1]))):
         if v_cand < best_v:

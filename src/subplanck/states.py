@@ -69,9 +69,13 @@ class StateSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise InvalidStateSpec(f"unknown state kind {self.kind!r}")
+        for name in ("n", "side_peaks"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidStateSpec(f"{name} must be an integer, got {value!r}")
         if self.thermal_nbar < 0.0:
             raise InvalidStateSpec("thermal_nbar must be nonnegative")
-        if self.kind == "fock" and (self.n < 0 or self.n != int(self.n)):
+        if self.kind == "fock" and self.n < 0:
             raise InvalidStateSpec("fock index must be a nonnegative integer")
         if self.kind == "mixture":
             if not self.populations:
@@ -98,11 +102,11 @@ class StateSpec:
         pops = data.get("populations")
         return StateSpec(
             kind=kind if isinstance(kind, str) else "",
-            n=int(data.get("n", 0)),
+            n=data.get("n", 0),
             populations=tuple(pops) if pops is not None else None,
             alpha=float(data.get("alpha", 0.0)),
             delta=float(data.get("delta", 0.0)),
-            side_peaks=int(data.get("side_peaks", 1)),
+            side_peaks=data.get("side_peaks", 1),
             spacing=float(data.get("spacing", 0.0)),
             gamma=float(data.get("gamma", 0.0)),
             thermal_nbar=float(data.get("nbar", 0.0)),
@@ -149,12 +153,13 @@ def _airy_series(x: np.ndarray) -> np.ndarray:
     return _AI_0 * f_sum + _AI_PRIME_0 * g_sum
 
 
-def _asym_sum(zeta: np.ndarray, signs: int, parity: int) -> np.ndarray:
-    """Sum u_k / zeta**k over k of one parity, truncated at the smallest term."""
+def _asym_sum(zeta: np.ndarray, start: int, stride: int) -> np.ndarray:
+    """Alternating sum of u_k / zeta**k over k = start, start + stride, ...,
+    truncated at the smallest term."""
     total = np.zeros_like(zeta)
     term_prev = np.full_like(zeta, np.inf)
     sign = 1.0
-    for idx, k in enumerate(range(parity, _AI_U.shape[0], 2)):
+    for k in range(start, _AI_U.shape[0], stride):
         term = _AI_U[k] / zeta**k
         grown = term >= term_prev
         if grown.all():
@@ -162,31 +167,21 @@ def _asym_sum(zeta: np.ndarray, signs: int, parity: int) -> np.ndarray:
         term = np.where(grown, 0.0, term)
         total += sign * term
         term_prev = np.where(grown, term_prev, term)
-        sign *= signs
+        sign = -sign
     return total
 
 
 def _airy_asym_pos(x: np.ndarray) -> np.ndarray:
     zeta = (2.0 / 3.0) * x**1.5
-    total = np.zeros_like(zeta)
-    term_prev = np.full_like(zeta, np.inf)
-    sign = 1.0
-    for k in range(_AI_U.shape[0]):
-        term = _AI_U[k] / zeta**k
-        grown = term >= term_prev
-        if grown.all():
-            break
-        total += sign * np.where(grown, 0.0, term)
-        term_prev = np.where(grown, term_prev, term)
-        sign = -sign
+    total = _asym_sum(zeta, 0, 1)
     return np.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x**0.25) * total
 
 
 def _airy_asym_neg(x: np.ndarray) -> np.ndarray:
     t = -x
     zeta = (2.0 / 3.0) * t**1.5
-    cos_sum = _asym_sum(zeta, -1, 0)
-    sin_sum = _asym_sum(zeta, -1, 1)
+    cos_sum = _asym_sum(zeta, 0, 2)
+    sin_sum = _asym_sum(zeta, 1, 2)
     phase = zeta - 0.25 * math.pi
     return (np.cos(phase) * cos_sum + np.sin(phase) * sin_sum) / (
         math.sqrt(math.pi) * t**0.25
@@ -221,7 +216,7 @@ def _fock_extent(n: int) -> float:
     return 6.0 + 2.0 * math.sqrt(2.0 * n + 1.0)
 
 
-def default_grid(spec: StateSpec, nodes: int = 4096) -> GridSpec:
+def default_grid(spec: StateSpec) -> GridSpec:
     """Grid wide enough that the state's density decays at the edges."""
     if spec.kind == "fock":
         extent = _fock_extent(spec.n)
@@ -242,7 +237,7 @@ def default_grid(spec: StateSpec, nodes: int = 4096) -> GridSpec:
     # thermal blur widens the state; convolution pads further on its own
     if spec.thermal_nbar > 0.0:
         extent += 4.0 * math.sqrt(spec.thermal_nbar)
-    return GridSpec(extent=extent, nodes=nodes)
+    return GridSpec(extent)
 
 
 def _fock_wavefunctions(n_top: int, xs: np.ndarray) -> list[np.ndarray]:
@@ -280,7 +275,7 @@ def fock_density(n: int, grid: GridSpec | None = None) -> GridDensity:
     psi = _fock_wavefunctions(n, xs)[n]
     with np.errstate(divide="ignore"):
         log_p = 2.0 * np.log(np.abs(psi))
-    return from_log_values(xs[0], grid.step, log_p, meta=f"fock:{n}")
+    return from_log_values(xs[0], grid.step, log_p)
 
 
 def fock_mixture_density(
@@ -303,7 +298,7 @@ def fock_mixture_density(
         dens += pops[m] * psis[m] ** 2
     with np.errstate(divide="ignore"):
         log_p = np.log(dens)
-    return from_log_values(xs[0], grid.step, log_p, meta="fock-mixture")
+    return from_log_values(xs[0], grid.step, log_p)
 
 
 def cat_momentum_density(alpha: float, grid: GridSpec | None = None) -> GridDensity:
@@ -318,7 +313,7 @@ def cat_momentum_density(alpha: float, grid: GridSpec | None = None) -> GridDens
     ps = grid.xs()
     with np.errstate(divide="ignore"):
         log_p = -(ps**2) + 2.0 * np.log(np.abs(np.cos(alpha * ps)))
-    return from_log_values(ps[0], grid.step, log_p, meta=f"cat:{alpha}")
+    return from_log_values(ps[0], grid.step, log_p)
 
 
 def _cat_position_density(alpha: float, grid: GridSpec) -> GridDensity:
@@ -334,7 +329,7 @@ def _cat_position_density(alpha: float, grid: GridSpec) -> GridDensity:
     )
     m = terms.max(axis=0)
     log_p = m + np.log(np.sum(np.exp(terms - m), axis=0))
-    return from_log_values(xs[0], grid.step, log_p, meta=f"cat-position:{alpha}")
+    return from_log_values(xs[0], grid.step, log_p)
 
 
 def gkp_position_density(
@@ -358,7 +353,7 @@ def gkp_position_density(
     ) ** 2
     m = logs.max(axis=0)
     log_p = m + np.log(np.sum(np.exp(logs - m), axis=0))
-    return from_log_values(xs[0], grid.step, log_p, meta=f"gkp:{delta}:{side_peaks}")
+    return from_log_values(xs[0], grid.step, log_p)
 
 
 def _gkp_momentum_density(
@@ -374,7 +369,7 @@ def _gkp_momentum_density(
     )
     with np.errstate(divide="ignore"):
         log_p = -(delta**2) * ps**2 + 2.0 * np.log(np.abs(amp))
-    return from_log_values(ps[0], grid.step, log_p, meta=f"gkp-momentum:{delta}")
+    return from_log_values(ps[0], grid.step, log_p)
 
 
 def cubic_momentum_density(gamma: float, grid: GridSpec | None = None) -> GridDensity:
@@ -397,14 +392,13 @@ def cubic_momentum_density(gamma: float, grid: GridSpec | None = None) -> GridDe
             x_step=d.x_step,
             log_p=d.log_p[::-1].copy(),
             norm_log=d.norm_log,
-            meta=f"cubic:{gamma}",
         )
     ps = grid.xs()
     z = (1.0 - 4.0 * gamma * ps) / (4.0 * gamma ** (4.0 / 3.0))
     ai = np.asarray(airy_ai(z))
     with np.errstate(divide="ignore"):
         log_p = (1.0 - gamma * ps) / (6.0 * gamma**2) + 2.0 * np.log(np.abs(ai))
-    return from_log_values(ps[0], grid.step, log_p, meta=f"cubic:{gamma}")
+    return from_log_values(ps[0], grid.step, log_p)
 
 
 def realize(spec: StateSpec, grid: GridSpec | None = None) -> GridDensity:
@@ -437,7 +431,7 @@ def realize(spec: StateSpec, grid: GridSpec | None = None) -> GridDensity:
         if rotated:
             # the cubic phase leaves the position density untouched: pure ground state
             xs = grid.xs()
-            base = from_log_values(xs[0], grid.step, -(xs**2), meta="ground")
+            base = from_log_values(xs[0], grid.step, -(xs**2))
         else:
             base = cubic_momentum_density(spec.gamma, grid)
     if spec.thermal_nbar > 0.0:

@@ -220,7 +220,7 @@ def test_a10_classical_mixtures_never_squeeze():
         dens = np.zeros_like(xs)
         for wi, mu, s2 in zip(w, mus, sig2):
             dens += wi * np.exp(-0.5 * (xs - mu) ** 2 / s2) / math.sqrt(2 * math.pi * s2)
-        p = from_log_values(xs[0], gs.step, np.log(np.maximum(dens, 1e-300)), "mix")
+        p = from_log_values(xs[0], gs.step, np.log(np.maximum(dens, 1e-300)))
         rep = quantify(p, DistillConfig(layers=6))
         worst_mv = min(worst_mv, rep.min_variance)
         if rep.min_variance < 0.5 - 1e-3:
@@ -254,15 +254,15 @@ def test_a11_relative_concavity_is_preserved():
         # the stencil error itself below the 0.1% budget
         fine = GridSpec(default_grid(spec).extent, 32768)
         p = realize(spec, fine)
-        maxima = [m for m in global_maxima(p, 1e-3) if m.is_global]
+        maxima = [m for m in global_maxima(p) if m.is_global]
         nonneg = [m for m in maxima if m.a >= 0.0]
         a = min(nonneg, key=lambda m: m.a).a if nonneg else max(m.a for m in maxima)
-        rel_p = curvature_at(p, a, 8) / float(np.exp(log_interp(p, np.array([a]))[0]))
+        rel_p = curvature_at(p, a) / float(np.exp(log_interp(p, np.array([a]))[0]))
         for n_layers in range(1, 7):
             scale = math.sqrt(2.0**n_layers)
             q = universal_distill(p, n_layers)
             qa = float(np.exp(log_interp(q, np.array([scale * a]))[0]))
-            err = abs(curvature_at(q, scale * a, 8) / qa - rel_p) / abs(rel_p)
+            err = abs(curvature_at(q, scale * a) / qa - rel_p) / abs(rel_p)
             if err > worst:
                 worst, worst_label = err, f"{label}, {n_layers} layers"
     ok = worst <= 1e-3

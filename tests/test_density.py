@@ -40,7 +40,7 @@ SQRT_PI = math.sqrt(math.pi)
 
 def gaussian_density(sigma2: float, mu: float = 0.0, extent: float = 8.0, nodes: int = 4096):
     xs = GridSpec(extent, nodes).xs()
-    return make_grid_density(xs, np.exp(-0.5 * (xs - mu) ** 2 / sigma2), "gauss")
+    return make_grid_density(xs, np.exp(-0.5 * (xs - mu) ** 2 / sigma2))
 
 
 def ground_density(extent: float = 8.0, nodes: int = 4096):
@@ -49,7 +49,7 @@ def ground_density(extent: float = 8.0, nodes: int = 4096):
 
 def fock1_density(extent: float = 10.0, nodes: int = 4096):
     xs = GridSpec(extent, nodes).xs()
-    return make_grid_density(xs, 2.0 * xs**2 * np.exp(-(xs**2)) / SQRT_PI, "fock1")
+    return make_grid_density(xs, 2.0 * xs**2 * np.exp(-(xs**2)) / SQRT_PI)
 
 
 class TestConstruction:
@@ -108,35 +108,35 @@ class TestMoments:
     def test_shift_moves_maxima(self):
         d = ground_density()
         moved = shift(d, 2.0)
-        locs = global_maxima(moved, 1e-3)
+        locs = global_maxima(moved)
         assert abs(locs[0].a - 2.0) <= 1e-9
 
 
 class TestGlobalMaxima:
     def test_ground_single_maximum_at_zero(self):
-        locs = global_maxima(ground_density(), 1e-3)
+        locs = global_maxima(ground_density())
         assert len([m for m in locs if m.is_global]) == 1
         assert abs(locs[0].a) <= 1e-6
         assert locs[0].curvature < 0.0
 
     def test_fock1_twin_maxima(self):
-        locs = [m for m in global_maxima(fock1_density(), 1e-3) if m.is_global]
+        locs = [m for m in global_maxima(fock1_density()) if m.is_global]
         assert len(locs) == 2
         assert sorted(abs(m.a) for m in locs) == pytest.approx([1.0, 1.0], abs=1e-4)
 
     def test_sorted_descending_by_value(self):
-        locs = global_maxima(fock1_density(), 0.5)
+        locs = global_maxima(fock1_density())
         values = [m.value for m in locs]
         assert values == sorted(values, reverse=True)
 
     def test_edge_maximum_rejected(self):
         xs = GridSpec(2.0, 256).xs()
         with pytest.raises(NoInteriorMaximum):
-            global_maxima(make_grid_density(xs, np.exp(xs)), 1e-3)
+            global_maxima(make_grid_density(xs, np.exp(xs)))
 
     def test_refined_within_one_step(self):
         d = gaussian_density(0.5, mu=0.3)
-        locs = global_maxima(d, 1e-3)
+        locs = global_maxima(d)
         assert abs(locs[0].a - 0.3) <= d.x_step
 
 
@@ -225,22 +225,22 @@ class TestCurvature:
         # machine-level contract for noise-free polynomial input
         xs = GridSpec(2.0, 512).xs()
         ps = 5.0 + xs + 0.5 * xs**2 - 0.25 * xs**3 + 0.125 * xs**4
-        d = make_grid_density(xs, ps, "quartic")
+        d = make_grid_density(xs, ps)
         norm = np.trapezoid(ps, xs)
         expected = (1.0 - 1.5 * 0.7 + 1.5 * 0.7**2) / norm
-        got = curvature_at(d, 0.7, 8)
+        got = curvature_at(d, 0.7)
         assert abs(got - expected) <= 1e-10
 
     def test_window_out_of_range(self):
         d = ground_density()
         with pytest.raises(WindowOutOfRange):
-            curvature_at(d, d.x_min + 2.0 * d.x_step, 8)
+            curvature_at(d, d.x_min + 2.0 * d.x_step)
 
     def test_relative_concavity_of_thermalized_fock1(self):
         nbar = 0.1
         d = convolve_gaussian(fock1_density(), nbar)
         peak = max(
-            (m for m in global_maxima(d, 1e-3) if m.is_global), key=lambda m: m.a
+            (m for m in global_maxima(d) if m.is_global), key=lambda m: m.a
         )
         ratio = peak.value / abs(curvature_at(d, peak.a))
         expected = (1.0 + 2.0 * nbar) / (4.0 * abs(1.0 - nbar))
@@ -294,7 +294,7 @@ class TestPowScale:
 
     def test_fock1_two_copies_maxima(self):
         scaled = pow_scale(fock1_density(), 2)
-        locs = [m for m in global_maxima(scaled, 1e-3) if m.is_global]
+        locs = [m for m in global_maxima(scaled) if m.is_global]
         assert sorted(abs(m.a) for m in locs) == pytest.approx(
             [math.sqrt(2.0)] * 2, abs=1e-4
         )

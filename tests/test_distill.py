@@ -116,7 +116,7 @@ class TestDisplaceToOrigin:
     def test_fock1_picks_positive_twin(self):
         shifted, chosen = displace_to_origin(fock_density(1))
         assert chosen.a == pytest.approx(1.0, abs=1e-3)
-        peak = max(global_maxima(shifted, 1e-3), key=lambda m: m.value)
+        peak = max(global_maxima(shifted), key=lambda m: m.value)
         assert abs(peak.a) <= 1e-9
 
     def test_falls_back_to_negative_maximum(self):
@@ -311,7 +311,7 @@ def reference_log_trapz(log_f, step):
     return m + math.log(total)
 
 
-def reference_from_log_values(x_min, x_step, log_p, meta=""):
+def reference_from_log_values(x_min, x_step, log_p):
     log_p = np.asarray(log_p, dtype=float).copy()
     if log_p.ndim != 1 or log_p.shape[0] < 64:
         raise TooFewPoints(f"need at least 64 nodes, got {log_p.shape[0]}")
@@ -322,7 +322,7 @@ def reference_from_log_values(x_min, x_step, log_p, meta=""):
     norm = reference_log_trapz(log_p, x_step)
     if not math.isfinite(norm):
         raise ZeroMass("density integrates to zero")
-    return GridDensity(float(x_min), float(x_step), log_p, norm, meta)
+    return GridDensity(float(x_min), float(x_step), log_p, norm)
 
 
 def reference_filter(q, transmissivity):
@@ -345,7 +345,7 @@ def reference_filter(q, transmissivity):
     log_new = reference_log_interp(q, rt * xs) - weight * xs**2
     if not np.isfinite(log_new).any():
         raise ZeroMassCondition("filtered density has no mass")
-    return reference_from_log_values(lo, step, log_new, q.meta)
+    return reference_from_log_values(lo, step, log_new)
 
 
 def reference_optimize_filter(q, visited):
@@ -362,7 +362,7 @@ def reference_optimize_filter(q, visited):
     k = int(np.argmin(vs))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, ts.shape[0] - 1)]
-    _, (best_t, best_v), _ = distill.golden_section(objective, float(lo), float(hi), 1e-5)
+    best_t, best_v = distill.golden_section(objective, float(lo), float(hi))
     for t_cand, v_cand in ((float(ts[k]), float(vs[k])), (1.0, float(vs[-1]))):
         if v_cand < best_v:
             best_t, best_v = t_cand, v_cand
@@ -374,7 +374,7 @@ def bits(x):
 
 
 def density_bytes(d):
-    return bits(d.x_min), bits(d.x_step), d.log_p.tobytes(), bits(d.norm_log), d.meta
+    return bits(d.x_min), bits(d.x_step), d.log_p.tobytes(), bits(d.norm_log)
 
 
 def outcome(fn, *args):
@@ -425,7 +425,7 @@ def shaped_density(log_p, extent=10.0):
     """A hand-built density: whatever log values, no checks."""
     log_p = np.asarray(log_p, dtype=float)
     step = 2.0 * extent / (log_p.shape[0] - 1)
-    return GridDensity(-extent, step, log_p, 0.0, "hand")
+    return GridDensity(-extent, step, log_p, 0.0)
 
 
 class TestFilterScanBitExact:

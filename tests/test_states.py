@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ai_zeros, airy
 
+from subplanck import states
 from subplanck.density import (
     GridSpec,
     curvature_at,
@@ -53,6 +54,38 @@ class TestAiry:
         ours = airy_ai(xs)
         reference = airy(xs)[0]
         assert np.max(np.abs(ours - reference)) <= 1e-10
+
+    def test_asymptotic_branches_match_the_old_loops(self):
+        # both tails share one truncated sum; the positive tail once had its
+        # own stride-1 loop, kept here as the reference, byte for byte
+        u = states._AI_U
+
+        def old_sum(zeta, stride, parity):
+            total = np.zeros_like(zeta)
+            term_prev = np.full_like(zeta, np.inf)
+            sign = 1.0
+            for k in range(parity, u.shape[0], stride):
+                term = u[k] / zeta**k
+                grown = term >= term_prev
+                if grown.all():
+                    break
+                total += sign * np.where(grown, 0.0, term)
+                term_prev = np.where(grown, term_prev, term)
+                sign = -sign
+            return total
+
+        xs = np.linspace(6.0, 60.0, 200_001)[1:]
+        zeta = (2.0 / 3.0) * xs**1.5
+        old_pos = np.exp(-zeta) / (2.0 * math.sqrt(math.pi) * xs**0.25) * old_sum(zeta, 1, 0)
+        assert airy_ai(xs).tobytes() == old_pos.tobytes()
+
+        ts = np.linspace(8.0, 80.0, 200_001)[1:]
+        zeta = (2.0 / 3.0) * ts**1.5
+        phase = zeta - 0.25 * math.pi
+        old_neg = (
+            np.cos(phase) * old_sum(zeta, 2, 0) + np.sin(phase) * old_sum(zeta, 2, 1)
+        ) / (math.sqrt(math.pi) * ts**0.25)
+        assert airy_ai(-ts).tobytes() == old_neg.tobytes()
 
     def test_differential_equation_residual(self):
         # Ai'' = x Ai survives normalization, so the density-curvature fit
@@ -125,7 +158,7 @@ class TestCatDensity:
         # fine grid: the parabolic dip refinement carries an O(h^2) envelope
         # bias, and the target tolerance is 1e-6
         d = cat_momentum_density(2.0, GridSpec(8.0, 16384))
-        locs = [m for m in global_maxima(d, 1e-3) if m.is_global]
+        locs = [m for m in global_maxima(d) if m.is_global]
         assert len(locs) == 1
         assert abs(locs[0].a) <= 1e-6
         vals = d.values()
@@ -165,7 +198,7 @@ class TestGkpDensity:
 
     def test_reduced_spacing_broadens(self):
         d = gkp_position_density(0.3, 3, SQRT_PI / 4.0)
-        locs = [m for m in global_maxima(d, 1e-3) if m.is_global]
+        locs = [m for m in global_maxima(d) if m.is_global]
         assert len(locs) == 1 and abs(locs[0].a) <= 1e-6
         assert variance(d) > 0.5
 
@@ -212,7 +245,7 @@ class TestCubicDensity:
 
         expected = brentq(dlog, 0.5, 2.0, xtol=1e-12)
         d = cubic_momentum_density(1.0)
-        locs = [m for m in global_maxima(d, 1e-3) if m.is_global]
+        locs = [m for m in global_maxima(d) if m.is_global]
         assert len(locs) == 1
         assert abs(locs[0].a - expected) <= 2e-4
 
@@ -268,6 +301,32 @@ class TestRealize:
     def test_invalid_spec_cannot_be_built(self):
         with pytest.raises(InvalidStateSpec, match="nonnegative"):
             dataclasses.replace(StateSpec(kind="fock", n=1), n=-1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "fock", "n": 1.5},
+            {"kind": "fock", "n": 2.0},
+            {"kind": "fock", "n": True},
+            {"kind": "fock", "n": "2"},
+            {"kind": "gkp", "delta": 0.3, "spacing": SQRT_PI, "side_peaks": 1.5},
+            {"kind": "gkp", "delta": 0.3, "spacing": SQRT_PI, "side_peaks": 2.0},
+            {"kind": "gkp", "delta": 0.3, "spacing": SQRT_PI, "side_peaks": True},
+        ],
+    )
+    def test_integer_fields_take_only_integers(self, fields):
+        with pytest.raises(InvalidStateSpec, match="must be an integer"):
+            StateSpec(**fields)
+        with pytest.raises(InvalidStateSpec, match="must be an integer"):
+            StateSpec.from_dict(fields)
+
+    def test_numpy_integers_are_integers(self):
+        got = realize(StateSpec(kind="fock", n=np.int64(2)))
+        assert got.log_p.tobytes() == realize(StateSpec(kind="fock", n=2)).log_p.tobytes()
+        gkp = StateSpec.from_dict(
+            {"kind": "gkp", "delta": 0.3, "spacing": SQRT_PI, "side_peaks": np.int32(2)}
+        )
+        assert gkp.side_peaks == 2
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidStateSpec, match=r"\['thermal_nbar'\]"):
