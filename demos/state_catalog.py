@@ -27,7 +27,7 @@ def main() -> None:
     print(f"{'state':<20} {'raw var':>9} {'asym var':>9} {'maxima':>7}")
     for label, spec in CATALOG:
         p = realize(spec)
-        tallest = sum(m.is_global for m in global_maxima(p))
+        tallest = len(global_maxima(p))
         print(
             f"{label:<20} {variance(p):>9.4f} {asymptotic_variance(p):>9.4f} "
             f"{tallest:>7}"

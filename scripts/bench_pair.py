@@ -13,7 +13,8 @@ repository root (``BENCH_<workload>_trace.json`` with ``--trace``), rewritten
 after every pair: every run, each side's median and quartiles per metric,
 how many pairs the change won per metric, each end-to-end metric's verdict
 (``gain``, ``worse``, ``unresolved`` or ``within_bound``, see ``verdict``),
-and the core count.
+each side's failed and attempted operations with whether the change's failed
+share is higher, and the core count.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ def summarize(runs: list[dict], declared: dict[str, dict]) -> dict:
                "all_correct": all(r["correct"] for r in rs)}
         for side, rs in sides.items()
     }
+    # compared as fractions by cross-multiplying, so equal shares stay equal
+    p, c = failures["parent"], failures["change"]
+    failures["failed_share_higher"] = c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
     return {"metrics": summary, "operations": failures}
 
 
@@ -177,6 +181,10 @@ def main() -> int:
         if "verdict" in row:
             print(f"{name}: {row['verdict']} (change won {row['change_wins']} of "
                   f"{record['pairs']})", file=sys.stderr)
+    ops = record["summary"]["operations"]
+    print(f"failed_share_higher: {str(ops['failed_share_higher']).lower()} (parent "
+          f"{ops['parent']['failed']}/{ops['parent']['attempted']}, change "
+          f"{ops['change']['failed']}/{ops['change']['attempted']})", file=sys.stderr)
     print(out_path)
     return 0
 

@@ -108,12 +108,20 @@ def _number(cast, value, key: str):
     return number
 
 
-def _integers(section, where: str, names: tuple[str, ...]):
-    """``section`` with its integer settings ``names`` checked by :func:`_number`."""
+def _numbers(section, where: str, integers: tuple[str, ...], reals: tuple[str, ...] = ()):
+    """``section`` with its settings ``integers`` checked by :func:`_number`.
+
+    Its settings ``reals`` must be JSON numbers: a string or a boolean is not one.
+    """
     if not isinstance(section, dict):
         return section
+    for k in reals:
+        v = section.get(k, 0.0)
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{where}.{k} must be a number, got {v!r}")
     return {
-        k: _number(int, v, f"{where}.{k}") if k in names else v for k, v in section.items()
+        k: _number(int, v, f"{where}.{k}") if k in integers else v
+        for k, v in section.items()
     }
 
 
@@ -136,11 +144,16 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     if len(sources) > 1:
         raise ConfigError(f"config must name exactly one input source, got {sources}")
 
-    pipeline = _integers(
+    pipeline = _numbers(
         raw.get("pipeline", {}), "pipeline", ("layers", "nonuniversal_prelayers")
     )
-    model = _integers(raw.get("rabi_model"), "rabi_model", ("n_max",))
-    state = _integers(raw.get("state"), "state", ("n", "side_peaks"))
+    model = _numbers(raw.get("rabi_model"), "rabi_model", ("n_max",))
+    state = _numbers(
+        raw.get("state"),
+        "state",
+        ("n", "side_peaks"),
+        ("alpha", "delta", "spacing", "gamma", "nbar", "angle"),
+    )
     try:
         state = StateSpec.from_dict(state) if "state" in raw else None
         pipeline = DistillConfig(**pipeline)

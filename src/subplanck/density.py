@@ -130,7 +130,6 @@ class MaximumLocation:
     a: float
     value: float
     curvature: float
-    is_global: bool
 
 
 def log_norm(log_p: np.ndarray, x_step: float) -> float:
@@ -211,9 +210,9 @@ def variance(d: GridDensity) -> float:
 
 
 def global_maxima(d: GridDensity) -> list[MaximumLocation]:
-    """Locate all interior local maxima, parabola-refined, sorted by height.
+    """Locate the global maxima, parabola-refined, sorted by height.
 
-    A maximum is flagged global when its refined value is within
+    An interior local maximum is global when its refined value is within
     ``GLOBAL_REL_TOL`` (relative) of the highest one.  Raises
     :class:`NoInteriorMaximum` when the density peaks at a grid edge.
     """
@@ -235,10 +234,11 @@ def global_maxima(d: GridDensity) -> list[MaximumLocation]:
     a = d.x_min + (i + delta) * h
     value = y2 - 0.25 * (y1 - y3) * delta
     curvature = np.where(flat, 0.0, denom / h**2)
-    is_global = value >= (1.0 - GLOBAL_REL_TOL) * value.max()
+    keep = value >= (1.0 - GLOBAL_REL_TOL) * value.max()
+    a, value, curvature = a[keep], value[keep], curvature[keep]
     # a stable sort keeps equal heights in grid order
     order = np.argsort(-value, kind="stable")
-    columns = (x[order].tolist() for x in (a, value, curvature, is_global))
+    columns = (x[order].tolist() for x in (a, value, curvature))
     return [MaximumLocation(*fields) for fields in zip(*columns)]
 
 

@@ -183,9 +183,8 @@ def displace_to_origin(q: GridDensity) -> tuple[GridDensity, MaximumLocation]:
     (ties in symmetric densities break toward +x).
     """
     maxima = global_maxima(q)
-    globals_ = [m for m in maxima if m.is_global]
-    nonneg = [m for m in globals_ if m.a >= 0.0]
-    chosen = min(nonneg, key=lambda m: m.a) if nonneg else max(globals_, key=lambda m: m.a)
+    nonneg = [m for m in maxima if m.a >= 0.0]
+    chosen = min(nonneg, key=lambda m: m.a) if nonneg else max(maxima, key=lambda m: m.a)
     return shift(q, -chosen.a), chosen
 
 

@@ -42,6 +42,8 @@ _DICT_KEYS = (
     "kind", "n", "populations", "alpha", "delta", "side_peaks", "spacing", "gamma",
     "nbar", "angle",
 )
+# the dict keys that hold real numbers
+_REAL_KEYS = ("alpha", "delta", "spacing", "gamma", "nbar", "angle")
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,10 @@ class StateSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InvalidStateSpec(f"{name} must be an integer, got {value!r}")
-        if self.thermal_nbar < 0.0:
-            raise InvalidStateSpec("thermal_nbar must be nonnegative")
+        if not (math.isfinite(self.thermal_nbar) and self.thermal_nbar >= 0.0):
+            raise InvalidStateSpec(
+                f"thermal_nbar must be finite and nonnegative, got {self.thermal_nbar!r}"
+            )
         if self.kind == "fock" and self.n < 0:
             raise InvalidStateSpec("fock index must be a nonnegative integer")
         if self.kind == "mixture":
@@ -98,6 +102,11 @@ class StateSpec:
         unknown = set(data) - set(_DICT_KEYS)
         if unknown:
             raise InvalidStateSpec(f"unknown state keys: {sorted(unknown)}")
+        for key in _REAL_KEYS:
+            value = data.get(key, 0.0)
+            real = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not real:
+                raise InvalidStateSpec(f"{key} must be a number, got {value!r}")
         kind = data.get("kind")
         pops = data.get("populations")
         return StateSpec(

@@ -254,7 +254,7 @@ def test_a11_relative_concavity_is_preserved():
         # the stencil error itself below the 0.1% budget
         fine = GridSpec(default_grid(spec).extent, 32768)
         p = realize(spec, fine)
-        maxima = [m for m in global_maxima(p) if m.is_global]
+        maxima = global_maxima(p)
         nonneg = [m for m in maxima if m.a >= 0.0]
         a = min(nonneg, key=lambda m: m.a).a if nonneg else max(m.a for m in maxima)
         rel_p = curvature_at(p, a) / float(np.exp(log_interp(p, np.array([a]))[0]))

@@ -17,13 +17,16 @@ DECLARED = {
 }
 
 
-def runs_from(parent, change, metric="ops_per_s"):
-    """Alternating runs, pair i holding parent[i] and change[i]."""
+def runs_from(parent, change, metric="ops_per_s", failed=(4, 4), attempted=(39, 39)):
+    """Alternating runs, pair i holding parent[i] and change[i]; each parent
+    run counts failed[0] of attempted[0] operations, each change run failed[1]
+    of attempted[1]."""
     runs = []
     for i, (p, c) in enumerate(zip(parent, change)):
-        for side, value in (("parent", p), ("change", c)):
+        for side, value, f, a in (("parent", p, failed[0], attempted[0]),
+                                  ("change", c, failed[1], attempted[1])):
             runs.append({
-                "side": side, "pair": i, "correct": True, "attempted": 39, "failed": 4,
+                "side": side, "pair": i, "correct": True, "attempted": a, "failed": f,
                 "metrics": {metric: value},
             })
     return runs
@@ -90,6 +93,24 @@ class TestVerdict:
         assert summary["operations"]["change"] == {
             "failed": 40, "attempted": 390, "all_correct": True,
         }
+
+
+@pytest.mark.parametrize(
+    "failed,attempted,higher",
+    [
+        ((4, 4), (39, 39), False),
+        ((4, 4), (39, 78), False),  # more operations at the same count: a lower share
+        ((4, 8), (39, 78), False),  # twice the work, the same share
+        ((4, 5), (39, 39), True),
+        ((4, 4), (39, 38), True),  # fewer operations at the same count: a higher share
+        ((0, 1), (39, 39), True),
+        ((4, 0), (39, 39), False),
+    ],
+)
+def test_failed_share_higher(failed, attempted, higher):
+    runs = runs_from(PARENT, PARENT, failed=failed, attempted=attempted)
+    ops = bench_pair.summarize(runs, DECLARED)["operations"]
+    assert ops["failed_share_higher"] is higher
 
 
 @pytest.mark.parametrize(

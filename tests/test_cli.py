@@ -205,6 +205,27 @@ class TestConfigErrors:
             ),
             ("sweep", {"sweep": {"parameter": "fock_n", "values": [1.5]}}, [], "sweep.values"),
             ("sweep", {"sweep": {"parameter": "layers_N"}}, ["--values", "1,2.5"], "sweep.values"),
+            ("quantify", {"state": {"kind": "cat", "alpha": True}}, [], "state.alpha"),
+            (
+                "quantify",
+                {"state": {"kind": "gkp", "delta": "0.3", "spacing": 2.5}},
+                [],
+                "state.delta",
+            ),
+            (
+                "quantify",
+                {"state": {"kind": "gkp", "delta": 0.3, "spacing": True}},
+                [],
+                "state.spacing",
+            ),
+            ("quantify", {"state": {"kind": "cubic", "gamma": "1"}}, [], "state.gamma"),
+            ("quantify", {"state": {"kind": "fock", "n": 1, "nbar": False}}, [], "state.nbar"),
+            (
+                "quantify",
+                {"state": {"kind": "cat", "alpha": 2.0, "angle": "0"}},
+                [],
+                "state.angle",
+            ),
         ],
         ids=[
             "seed", "seed-overflow", "grid-nodes", "grid-extent", "sweep-values-item",
@@ -212,7 +233,8 @@ class TestConfigErrors:
             "oracle-batch_size", "grid-nodes-fraction", "seed-fraction", "seed-bool",
             "oracle-batches-fraction", "grid-extent-bool", "layers-fraction", "layers-bool",
             "prelayers-fraction", "n_max-fraction", "state-n-fraction", "state-n-bool",
-            "side_peaks-fraction", "fock_n-fraction", "layers_N-fraction",
+            "side_peaks-fraction", "fock_n-fraction", "layers_N-fraction", "alpha-bool",
+            "delta-string", "spacing-bool", "gamma-string", "nbar-bool", "angle-string",
         ],
     )
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, extra, flags, key):
@@ -221,6 +243,13 @@ class TestConfigErrors:
         code, out, err = run_cli([command, "--config", cfg, *flags], capsys)
         assert code == 2 and out == ""
         assert err.startswith(f"config error: {key} must be ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -0.1])
+    def test_bad_nbar_is_a_config_error(self, tmp_path, capsys, nbar):
+        cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 1, "nbar": nbar}})
+        code, out, err = run_cli(["quantify", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ") and "thermal_nbar" in err
 
     def test_clashing_output_paths(self, tmp_path, capsys):
         cfg = write_config(

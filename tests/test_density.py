@@ -24,6 +24,7 @@ from subplanck.density import (
     variance,
     write_density_csv,
 )
+from subplanck.distill import displace_to_origin
 from subplanck.errors import (
     NegativeDensity,
     NonUniformGrid,
@@ -33,7 +34,8 @@ from subplanck.errors import (
     WindowOutOfRange,
     ZeroMass,
 )
-from subplanck.states import StateSpec, realize
+from subplanck.oracle import sample_density
+from subplanck.states import StateSpec, default_grid, realize
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -115,12 +117,12 @@ class TestMoments:
 class TestGlobalMaxima:
     def test_ground_single_maximum_at_zero(self):
         locs = global_maxima(ground_density())
-        assert len([m for m in locs if m.is_global]) == 1
+        assert len(locs) == 1
         assert abs(locs[0].a) <= 1e-6
         assert locs[0].curvature < 0.0
 
     def test_fock1_twin_maxima(self):
-        locs = [m for m in global_maxima(fock1_density()) if m.is_global]
+        locs = global_maxima(fock1_density())
         assert len(locs) == 2
         assert sorted(abs(m.a) for m in locs) == pytest.approx([1.0, 1.0], abs=1e-4)
 
@@ -140,8 +142,19 @@ class TestGlobalMaxima:
         assert abs(locs[0].a - 0.3) <= d.x_step
 
 
+@dataclasses.dataclass(frozen=True)
+class LoopMaximum:
+    a: float
+    value: float
+    curvature: float
+    is_global: bool
+
+
 def loop_global_maxima(d, rel_tol=1e-3):
-    """The seed-by-seed parabola refinement that global_maxima replaced."""
+    """The seed-by-seed parabola refinement that global_maxima replaced.
+
+    Returns every interior local maximum, each flagged global or not.
+    """
     v = d.values()
     inner = v[1:-1]
     seeds = np.nonzero((inner > v[:-2]) & (inner >= v[2:]))[0] + 1
@@ -151,12 +164,12 @@ def loop_global_maxima(d, rel_tol=1e-3):
         y1, y2, y3 = v[i - 1], v[i], v[i + 1]
         denom = y1 - 2.0 * y2 + y3
         if denom >= 0.0:
-            out.append(MaximumLocation(d.x_min + i * h, float(y2), 0.0, False))
+            out.append(LoopMaximum(d.x_min + i * h, float(y2), 0.0, False))
             continue
         delta = float(np.clip(0.5 * (y1 - y3) / denom, -1.0, 1.0))
         a = d.x_min + (i + delta) * h
         value = y2 - 0.25 * (y1 - y3) * delta
-        out.append(MaximumLocation(float(a), float(value), float(denom / h**2), False))
+        out.append(LoopMaximum(float(a), float(value), float(denom / h**2), False))
     vmax = max(loc.value for loc in out)
     out = [
         dataclasses.replace(loc, is_global=loc.value >= (1.0 - rel_tol) * vmax)
@@ -164,6 +177,15 @@ def loop_global_maxima(d, rel_tol=1e-3):
     ]
     out.sort(key=lambda loc: -loc.value)
     return out
+
+
+def loop_globals(d):
+    """The loop's global maxima as global_maxima returns them."""
+    return [
+        MaximumLocation(m.a, m.value, m.curvature)
+        for m in loop_global_maxima(d)
+        if m.is_global
+    ]
 
 
 def flat_triple_density():
@@ -189,27 +211,54 @@ BIT_EXACT_SPECS = {
 def assert_plain_fields(maxima):
     for m in maxima:
         assert type(m.a) is float and type(m.value) is float
-        assert type(m.curvature) is float and type(m.is_global) is bool
+        assert type(m.curvature) is float
 
 
 class TestGlobalMaximaBitExact:
-    """The vectorized refinement returns the loop's maxima to the bit."""
+    """The vectorized refinement returns the loop's global maxima to the bit."""
 
     @pytest.mark.parametrize("copies", [1, 4])
     @pytest.mark.parametrize("name", list(BIT_EXACT_SPECS))
     def test_matches_loop(self, name, copies):
         d = pow_scale(realize(BIT_EXACT_SPECS[name]), copies)
         got = global_maxima(d)
-        assert got == loop_global_maxima(d)
+        assert got == loop_globals(d)
         assert_plain_fields(got)
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    def test_noisy_histogram_matches_loop(self, copies):
+        spec = StateSpec(kind="fock", n=1)
+        extent = default_grid(spec).extent
+        draws = sample_density(realize(spec), 10**6, seed=2024)
+        counts, edges = np.histogram(draws, bins=701, range=(-extent, extent))
+        centres = 0.5 * (edges[1:] + edges[:-1])
+        d = pow_scale(make_grid_density(centres, counts.astype(float)), copies)
+        got = global_maxima(d)
+        assert got == loop_globals(d)
+        assert_plain_fields(got)
+
+    def test_ripple_maxima_get_no_record(self):
+        d = realize(StateSpec(kind="fock", n=1, thermal_nbar=0.02))
+        assert len(loop_global_maxima(d)) == 529
+        assert len(global_maxima(d)) == 2
 
     def test_flat_triple_keeps_the_node(self):
         d = flat_triple_density()
         got = global_maxima(d)
-        assert got == loop_global_maxima(d)
+        assert got == loop_globals(d)
         assert_plain_fields(got)
-        (m,) = [m for m in got if m.is_global]
+        (m,) = got
         assert (m.a, m.value, m.curvature) == (0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    @pytest.mark.parametrize("name", list(BIT_EXACT_SPECS))
+    def test_displace_to_origin_picks_the_loop_choice(self, name, copies):
+        d = pow_scale(realize(BIT_EXACT_SPECS[name]), copies)
+        globals_ = [m for m in loop_global_maxima(d) if m.is_global]
+        nonneg = [m for m in globals_ if m.a >= 0.0]
+        want = min(nonneg, key=lambda m: m.a) if nonneg else max(globals_, key=lambda m: m.a)
+        _, chosen = displace_to_origin(d)
+        assert (chosen.a, chosen.value) == (want.a, want.value)
 
 
 class TestCurvature:
@@ -239,9 +288,7 @@ class TestCurvature:
     def test_relative_concavity_of_thermalized_fock1(self):
         nbar = 0.1
         d = convolve_gaussian(fock1_density(), nbar)
-        peak = max(
-            (m for m in global_maxima(d) if m.is_global), key=lambda m: m.a
-        )
+        peak = max(global_maxima(d), key=lambda m: m.a)
         ratio = peak.value / abs(curvature_at(d, peak.a))
         expected = (1.0 + 2.0 * nbar) / (4.0 * abs(1.0 - nbar))
         assert abs(ratio - expected) <= 1e-3
@@ -294,7 +341,7 @@ class TestPowScale:
 
     def test_fock1_two_copies_maxima(self):
         scaled = pow_scale(fock1_density(), 2)
-        locs = [m for m in global_maxima(scaled) if m.is_global]
+        locs = global_maxima(scaled)
         assert sorted(abs(m.a) for m in locs) == pytest.approx(
             [math.sqrt(2.0)] * 2, abs=1e-4
         )

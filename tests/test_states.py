@@ -158,7 +158,7 @@ class TestCatDensity:
         # fine grid: the parabolic dip refinement carries an O(h^2) envelope
         # bias, and the target tolerance is 1e-6
         d = cat_momentum_density(2.0, GridSpec(8.0, 16384))
-        locs = [m for m in global_maxima(d) if m.is_global]
+        locs = global_maxima(d)
         assert len(locs) == 1
         assert abs(locs[0].a) <= 1e-6
         vals = d.values()
@@ -198,7 +198,7 @@ class TestGkpDensity:
 
     def test_reduced_spacing_broadens(self):
         d = gkp_position_density(0.3, 3, SQRT_PI / 4.0)
-        locs = [m for m in global_maxima(d) if m.is_global]
+        locs = global_maxima(d)
         assert len(locs) == 1 and abs(locs[0].a) <= 1e-6
         assert variance(d) > 0.5
 
@@ -245,7 +245,7 @@ class TestCubicDensity:
 
         expected = brentq(dlog, 0.5, 2.0, xtol=1e-12)
         d = cubic_momentum_density(1.0)
-        locs = [m for m in global_maxima(d) if m.is_global]
+        locs = global_maxima(d)
         assert len(locs) == 1
         assert abs(locs[0].a - expected) <= 2e-4
 
@@ -319,6 +319,24 @@ class TestRealize:
             StateSpec(**fields)
         with pytest.raises(InvalidStateSpec, match="must be an integer"):
             StateSpec.from_dict(fields)
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf, -0.1])
+    def test_nbar_must_be_finite_and_nonnegative(self, nbar):
+        with pytest.raises(InvalidStateSpec, match="finite and nonnegative"):
+            StateSpec(kind="fock", n=1, thermal_nbar=nbar)
+        with pytest.raises(InvalidStateSpec, match="finite and nonnegative"):
+            StateSpec.from_dict({"kind": "fock", "n": 1, "nbar": nbar})
+
+    @pytest.mark.parametrize("value", [True, "2", None, [2.0]])
+    @pytest.mark.parametrize("key", ["alpha", "delta", "spacing", "gamma", "nbar", "angle"])
+    def test_from_dict_real_fields_take_only_numbers(self, key, value):
+        fields = {"kind": "cat", "alpha": 2.0, key: value}
+        with pytest.raises(InvalidStateSpec, match=f"{key} must be a number"):
+            StateSpec.from_dict(fields)
+
+    def test_from_dict_takes_numpy_reals(self):
+        spec = StateSpec.from_dict({"kind": "cat", "alpha": np.float32(2.0), "nbar": np.int8(0)})
+        assert spec == StateSpec(kind="cat", alpha=2.0)
 
     def test_numpy_integers_are_integers(self):
         got = realize(StateSpec(kind="fock", n=np.int64(2)))
