@@ -35,22 +35,53 @@ from .distill import (
 from .errors import ConfigError, PreconditionError, QuantifierError, SolverError
 from .oracle import ks_distance, simulate_protocol
 from .phonon import RabiModel, fit_populations, read_rabi_csv
-from .states import StateSpec, default_grid, realize
+from .states import STATE_KEYS, StateSpec, default_grid, realize
 
 __all__ = ["main", "canonical_json"]
 
 _INPUT_KEYS = ("state", "density_csv", "rabi_csv")
-_TOP_KEYS = _INPUT_KEYS + (
-    "pipeline", "grid", "outputs", "seed", "rabi_model", "oracle", "sweep", "depth",
-)
-_SWEEP_PARAMETERS = ("fock_n", "layers_N", "nbar", "alpha", "gamma", "spacing")
+# The kind of every config value: int, float, str, bool or list (of numbers),
+# and for a section a dict of its keys' kinds.
+_CONFIG = {
+    "state": {key: kind for key, (_, kind) in STATE_KEYS.items()},
+    "density_csv": str,
+    "rabi_csv": str,
+    "pipeline": {
+        "layers": int, "conditioning_xbar": float,
+        "nonuniversal_prelayers": int, "prelayer_xbar": float,
+    },
+    "grid": {"extent": float, "nodes": int},
+    "outputs": {"report_json": str, "table_csv": str},
+    "seed": int,
+    "rabi_model": {
+        "omega01": float, "gamma_decay": float, "n_max": int,
+        "scaling": str, "lamb_dicke": float, "decay_exponent": float,
+    },
+    "oracle": {"eps": float, "batches": int, "batch_size": int, "samples_csv": str},
+    "sweep": {"parameter": str, "values": list, "with_depth": bool},
+    "depth": {"witness": str, "asymptotic": bool},
+}
+_KIND_NAMES = {
+    int: "an integer", float: "a number", list: "a list of numbers", str: "a string",
+    bool: "true or false", None: "absent (no such key)",
+}
+# sweep parameter -> (the config section and key it sets, the state kind that
+# reads it); None reads any state, or with layers_N any input
+_SWEEPS = {
+    "fock_n": ("state", "n", "fock"),
+    "layers_N": ("pipeline", "layers", None),
+    "nbar": ("state", "nbar", None),
+    "alpha": ("state", "alpha", "cat"),
+    "gamma": ("state", "gamma", "cubic"),
+    "spacing": ("state", "spacing", "gkp"),
+}
 _WITNESSES = ("subplanck", "wigner", "fano")
 _SAMPLE_ROWS_PER_WRITE = 4096
 
 
 @dataclass
 class RunConfig:
-    """Parsed config file with flag overrides already applied."""
+    """The checked config values, with flag overrides already applied."""
 
     state: StateSpec | None
     density_csv: str | None
@@ -86,47 +117,36 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+def _checked(value, kind, key: str):
+    """``value`` as a ``kind`` of :data:`_CONFIG`, or a config error naming ``key``.
 
-
-def _number(cast, value, key: str):
-    """``cast(value)`` for a config value, or a config error naming ``key``.
-
-    A boolean is not a number, and an integer setting takes no fraction.
+    A section is checked key by key, and the kind ``None`` marks an unknown key.
+    A number comes back as a float, and an integer setting takes an integral
+    float as its int; a boolean is no number.
     """
-    kind = "an integer" if cast is int else "a number"
     try:
-        number = cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be {kind}, got {value!r}") from exc
-    fraction = cast is int and isinstance(value, float) and number != value
-    if isinstance(value, bool) or fraction:
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
-    return number
-
-
-def _numbers(section, where: str, integers: tuple[str, ...], reals: tuple[str, ...] = ()):
-    """``section`` with its settings ``integers`` checked by :func:`_number`.
-
-    Its settings ``reals`` must be JSON numbers: a string or a boolean is not one.
-    """
-    if not isinstance(section, dict):
-        return section
-    for k in reals:
-        v = section.get(k, 0.0)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{where}.{k} must be a number, got {v!r}")
-    return {
-        k: _number(int, v, f"{where}.{k}") if k in integers else v
-        for k, v in section.items()
-    }
+        if isinstance(kind, dict):
+            if isinstance(value, dict):
+                return {k: _checked(v, kind.get(k), f"{key}.{k}") for k, v in value.items()}
+        elif kind is list:
+            if type(value) is list and all(type(v) in (int, float) for v in value):
+                return [float(v) for v in value]
+        elif kind is float:
+            if type(value) in (int, float):
+                return float(value)
+        elif kind is int:
+            if type(value) is int or (type(value) is float and value.is_integer()):
+                return int(value)
+        elif kind is not None and type(value) is kind:
+            return value
+    except OverflowError:  # an integer beyond the float range
+        pass
+    name = "an object" if isinstance(kind, dict) else _KIND_NAMES[kind]
+    raise ConfigError(f"{key} must be {name}, got {value!r}")
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
-    """Read the config file and fold in command-line overrides."""
+    """Read the config file, check each value's kind and fold in the flags."""
     raw: dict = {}
     if path is not None:
         try:
@@ -138,59 +158,35 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
+    raw = {key: _checked(value, _CONFIG.get(key), key) for key, value in raw.items()}
 
     sources = [k for k in _INPUT_KEYS if k in raw]
     if len(sources) > 1:
         raise ConfigError(f"config must name exactly one input source, got {sources}")
-
-    pipeline = _numbers(
-        raw.get("pipeline", {}), "pipeline", ("layers", "nonuniversal_prelayers")
-    )
-    model = _numbers(raw.get("rabi_model"), "rabi_model", ("n_max",))
-    state = _numbers(
-        raw.get("state"),
-        "state",
-        ("n", "side_peaks"),
-        ("alpha", "delta", "spacing", "gamma", "nbar", "angle"),
-    )
     try:
-        state = StateSpec.from_dict(state) if "state" in raw else None
-        pipeline = DistillConfig(**pipeline)
-        model = RabiModel(**model) if "rabi_model" in raw else None
+        state = StateSpec.from_dict(raw["state"]) if "state" in raw else None
+        pipeline = DistillConfig(**raw.get("pipeline", {}))
+        model = RabiModel(**raw["rabi_model"]) if "rabi_model" in raw else None
     except (QuantifierError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
     grid = raw.get("grid", {})
-    _check_keys(grid, ("extent", "nodes"), "grid")
-    extent = args.grid_extent if args.grid_extent is not None else grid.get("extent")
-    nodes = args.grid_nodes if args.grid_nodes is not None else grid.get("nodes")
-
     outputs = raw.get("outputs", {})
-    _check_keys(outputs, ("report_json", "table_csv"), "outputs")
     if len(set(outputs.values())) != len(outputs):
         raise ConfigError("output paths must be distinct")
-
-    seed = args.seed if args.seed is not None else _number(int, raw.get("seed", 0), "seed")
-    for name, allowed in (
-        ("oracle", ("eps", "batches", "batch_size", "samples_csv")),
-        ("sweep", ("parameter", "values", "with_depth")),
-        ("depth", ("witness", "asymptotic")),
-    ):
-        _check_keys(raw.get(name, {}), allowed, name)
     return RunConfig(
         state=state,
         density_csv=raw.get("density_csv"),
         rabi_csv=raw.get("rabi_csv"),
         pipeline=pipeline,
-        grid_extent=None if extent is None else _number(float, extent, "grid.extent"),
-        grid_nodes=None if nodes is None else _number(int, nodes, "grid.nodes"),
+        grid_extent=args.grid_extent if args.grid_extent is not None else grid.get("extent"),
+        grid_nodes=args.grid_nodes if args.grid_nodes is not None else grid.get("nodes"),
         outputs=outputs,
-        seed=seed,
+        seed=args.seed if args.seed is not None else raw.get("seed", 0),
         rabi_model=model,
-        oracle=dict(raw.get("oracle", {})),
-        sweep=dict(raw.get("sweep", {})),
-        depth=dict(raw.get("depth", {})),
+        oracle=raw.get("oracle", {}),
+        sweep=raw.get("sweep", {}),
+        depth=raw.get("depth", {}),
     )
 
 
@@ -273,7 +269,7 @@ def cmd_depth(cfg: RunConfig, args: argparse.Namespace) -> None:
     if cfg.state is None:
         raise ConfigError("depth analysis needs a parametric state input")
     if witness == "subplanck":
-        asymptotic = bool(args.asymptotic or cfg.depth.get("asymptotic", False))
+        asymptotic = args.asymptotic or cfg.depth.get("asymptotic", False)
         result = subplanck_depth(
             cfg.state, cfg.pipeline, asymptotic=asymptotic, grid=_grid_for(cfg, cfg.state)
         )
@@ -304,11 +300,8 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
     layers = cfg.pipeline.layers
     xbar = cfg.pipeline.conditioning_xbar
     # unset keys keep simulate_protocol's defaults
-    settings = {
-        key: _number(cast, cfg.oracle[key], f"oracle.{key}")
-        for key, cast in (("eps", float), ("batches", int), ("batch_size", int))
-        if key in cfg.oracle
-    }
+    settings = dict(cfg.oracle)
+    samples_csv = settings.pop("samples_csv", None)
     run = simulate_protocol(density, layers, xbar=xbar, seed=cfg.seed, **settings)
     reference = (
         binary_sequence_distill(density, layers, xbar)
@@ -318,42 +311,37 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
     run = dataclasses.replace(
         run, ks_vs_deterministic=ks_distance(run.samples_out, reference)
     )
-    samples_csv = cfg.oracle.get("samples_csv")
     if samples_csv is not None:
         _write_samples(samples_csv, run.samples_out)
     _emit(canonical_json(run.to_dict()), _report_path(cfg, args))
 
 
-def _point_state(cfg: RunConfig, parameter: str, value: float) -> StateSpec | None:
-    """The state of one sweep point."""
-    if parameter == "layers_N":
-        return cfg.state
-    if cfg.state is None:
-        raise ConfigError(f"sweep over {parameter!r} needs a state input")
-    field = {"fock_n": "n", "nbar": "thermal_nbar"}.get(parameter, parameter)
-    return dataclasses.replace(cfg.state, **{field: value})
-
-
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     parameter = args.parameter or cfg.sweep.get("parameter")
-    if parameter not in _SWEEP_PARAMETERS:
-        raise ConfigError(f"sweep parameter must be one of {_SWEEP_PARAMETERS}")
+    if parameter not in _SWEEPS:
+        raise ConfigError(f"sweep parameter must be one of {tuple(_SWEEPS)}")
+    section, setting, reader = _SWEEPS[parameter]
     values = cfg.sweep.get("values")
     if args.values is not None:
-        values = [_number(float, v, "--values") for v in args.values.split(",")]
+        try:
+            values = [float(v) for v in args.values.split(",")]
+        except ValueError:
+            raise ConfigError(f"--values must be numbers, got {args.values!r}") from None
     if not values:
         raise ConfigError("sweep needs a nonempty list of values")
-    if not isinstance(values, list):
-        raise ConfigError(f"sweep.values must be a list of numbers, got {values!r}")
-    values = sorted(_number(float, v, "sweep.values") for v in values)
-    if parameter in ("fock_n", "layers_N"):
-        values = [_number(int, v, "sweep.values") for v in values]
-    with_depth = bool(cfg.sweep.get("with_depth", False))
+    values = sorted(_checked(v, _CONFIG[section][setting], "sweep.values") for v in values)
+    with_depth = cfg.sweep.get("with_depth", False)
     if with_depth and parameter == "nbar":
         # the depth is itself an occupation; each point would already be thermal
         raise ConfigError("with_depth cannot be combined with an nbar sweep")
     if with_depth and (cfg.state is None or cfg.state.thermal_nbar != 0.0):
         raise ConfigError("with_depth needs a state input specified at nbar 0")
+    if section == "state" and cfg.state is None:
+        raise ConfigError(f"sweep over {parameter!r} needs a state input")
+    if reader is not None and cfg.state.kind != reader:
+        raise ConfigError(
+            f"sweep over {parameter!r} needs a {reader} state, got {cfg.state.kind!r}"
+        )
 
     kept: dict[str, object] = {}
 
@@ -370,13 +358,14 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     def run_point(value: float) -> dict | str:
         # a ConfigError is the same at every point, so it ends the sweep
         try:
-            spec = _point_state(cfg, parameter, value)
+            spec, pipeline = cfg.state, cfg.pipeline
+            if section == "state":
+                spec = dataclasses.replace(spec, **{STATE_KEYS[setting][0]: value})
+            else:
+                pipeline = dataclasses.replace(pipeline, **{setting: value})
             density = per_state(
                 "density", lambda: resolve_density(dataclasses.replace(cfg, state=spec))
             )
-            pipeline = cfg.pipeline
-            if parameter == "layers_N":
-                pipeline = dataclasses.replace(pipeline, layers=value)
             report = quantify(density, pipeline)
             row = {
                 "min_variance": report.min_variance,
@@ -442,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", parents=[common], help="quantify across a parameter range"
     )
-    sweep.add_argument("--parameter", choices=_SWEEP_PARAMETERS)
+    sweep.add_argument("--parameter", choices=tuple(_SWEEPS))
     sweep.add_argument("--values", help="comma-separated sweep values")
     depth = sub.add_parser(
         "depth", parents=[common], help="solve for the critical thermal occupation"

@@ -129,7 +129,6 @@ class MaximumLocation:
 
     a: float
     value: float
-    curvature: float
 
 
 def log_norm(log_p: np.ndarray, x_step: float) -> float:
@@ -233,12 +232,11 @@ def global_maxima(d: GridDensity) -> list[MaximumLocation]:
     delta = np.clip(delta, -1.0, 1.0)
     a = d.x_min + (i + delta) * h
     value = y2 - 0.25 * (y1 - y3) * delta
-    curvature = np.where(flat, 0.0, denom / h**2)
     keep = value >= (1.0 - GLOBAL_REL_TOL) * value.max()
-    a, value, curvature = a[keep], value[keep], curvature[keep]
+    a, value = a[keep], value[keep]
     # a stable sort keeps equal heights in grid order
     order = np.argsort(-value, kind="stable")
-    columns = (x[order].tolist() for x in (a, value, curvature))
+    columns = (x[order].tolist() for x in (a, value))
     return [MaximumLocation(*fields) for fields in zip(*columns)]
 
 

@@ -70,6 +70,9 @@ class RabiModel:
     decay_exponent: float = 0.7
 
     def __post_init__(self) -> None:
+        for name in ("omega01", "gamma_decay", "lamb_dicke", "decay_exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.omega01 > 0.0:
             raise ValueError("omega01 must be positive")
         if self.gamma_decay < 0.0:

@@ -38,12 +38,23 @@ __all__ = [
 ]
 
 _KINDS = ("fock", "mixture", "cat", "gkp", "cubic")
-_DICT_KEYS = (
-    "kind", "n", "populations", "alpha", "delta", "side_peaks", "spacing", "gamma",
-    "nbar", "angle",
-)
-# the dict keys that hold real numbers
-_REAL_KEYS = ("alpha", "delta", "spacing", "gamma", "nbar", "angle")
+# Each key of a state's dict form: the StateSpec field it sets and the kind of
+# its value (``list`` is a list of numbers).  The CLI's state section reads it.
+STATE_KEYS = {
+    "kind": ("kind", str),
+    "n": ("n", int),
+    "populations": ("populations", list),
+    "alpha": ("alpha", float),
+    "delta": ("delta", float),
+    "side_peaks": ("side_peaks", int),
+    "spacing": ("spacing", float),
+    "gamma": ("gamma", float),
+    "nbar": ("thermal_nbar", float),
+    "angle": ("quadrature_angle", float),
+}
+_REAL_FIELDS = tuple(field for field, kind in STATE_KEYS.values() if kind is float)
+_INTEGERS = (int, np.integer)
+_REALS = _INTEGERS + (float, np.floating)
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,8 @@ class StateSpec:
     Exactly the fields relevant to ``kind`` are read; ``thermal_nbar`` adds a
     Gaussian blur of that variance and ``quadrature_angle`` picks the
     measured quadrature (0 or pi/2 where supported; number states are
-    rotation invariant).  A spec that breaks these invariants raises
+    rotation invariant).  Real fields must be finite and are kept as Python
+    floats.  A spec that breaks these invariants raises
     :class:`InvalidStateSpec` or :class:`InvalidPopulations` when built.
     """
 
@@ -71,14 +83,21 @@ class StateSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise InvalidStateSpec(f"unknown state kind {self.kind!r}")
-        for name in ("n", "side_peaks"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidStateSpec(f"{name} must be an integer, got {value!r}")
+        for field, kind in STATE_KEYS.values():
+            value = getattr(self, field)
+            if kind is int and (isinstance(value, bool) or not isinstance(value, _INTEGERS)):
+                raise InvalidStateSpec(f"{field} must be an integer, got {value!r}")
+            if kind is float:
+                if isinstance(value, bool) or not isinstance(value, _REALS):
+                    raise InvalidStateSpec(f"{field} must be a number, got {value!r}")
+                object.__setattr__(self, field, float(value))
         if not (math.isfinite(self.thermal_nbar) and self.thermal_nbar >= 0.0):
             raise InvalidStateSpec(
                 f"thermal_nbar must be finite and nonnegative, got {self.thermal_nbar!r}"
             )
+        for field in _REAL_FIELDS:
+            if not math.isfinite(getattr(self, field)):
+                raise InvalidStateSpec(f"{field} must be finite, got {getattr(self, field)!r}")
         if self.kind == "fock" and self.n < 0:
             raise InvalidStateSpec("fock index must be a nonnegative integer")
         if self.kind == "mixture":
@@ -99,28 +118,14 @@ class StateSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "StateSpec":
-        unknown = set(data) - set(_DICT_KEYS)
+        """The spec of a state's dict form, whose keys :data:`STATE_KEYS` lists."""
+        unknown = set(data) - set(STATE_KEYS)
         if unknown:
             raise InvalidStateSpec(f"unknown state keys: {sorted(unknown)}")
-        for key in _REAL_KEYS:
-            value = data.get(key, 0.0)
-            real = isinstance(value, (int, float, np.integer, np.floating))
-            if isinstance(value, bool) or not real:
-                raise InvalidStateSpec(f"{key} must be a number, got {value!r}")
-        kind = data.get("kind")
-        pops = data.get("populations")
-        return StateSpec(
-            kind=kind if isinstance(kind, str) else "",
-            n=data.get("n", 0),
-            populations=tuple(pops) if pops is not None else None,
-            alpha=float(data.get("alpha", 0.0)),
-            delta=float(data.get("delta", 0.0)),
-            side_peaks=data.get("side_peaks", 1),
-            spacing=float(data.get("spacing", 0.0)),
-            gamma=float(data.get("gamma", 0.0)),
-            thermal_nbar=float(data.get("nbar", 0.0)),
-            quadrature_angle=float(data.get("angle", 0.0)),
-        )
+        fields = {STATE_KEYS[key][0]: value for key, value in data.items()}
+        if fields.get("populations") is not None:
+            fields["populations"] = tuple(fields["populations"])
+        return StateSpec(**{"kind": "", **fields})
 
 
 # --- special functions ------------------------------------------------------

@@ -103,6 +103,50 @@ class TestCanonicalJson:
             canonical_json(object())
 
 
+# a value of the wrong kind for each kind in the config table
+WRONG_KIND = {int: 1.5, float: "1", list: ["1"], str: 3, bool: "no"}
+
+
+def wrong_kind_cases():
+    """(command, extra config, flags, key): one wrong-kind value per config key."""
+    cases = []
+    for name, kind in cli._CONFIG.items():
+        if not isinstance(kind, dict):
+            cases.append(("quantify", {name: WRONG_KIND[kind]}, [], name))
+            continue
+        base = {"kind": "fock", "n": 1} if name == "state" else {}
+        for key, leaf in kind.items():
+            extra = {name: {**base, key: WRONG_KIND[leaf]}}
+            cases.append(("quantify", extra, [], f"{name}.{key}"))
+    return cases
+
+
+WRONG_KIND_CASES = wrong_kind_cases()
+
+# configs that ran with a wrong setting, or ended in a traceback, before
+# every value's kind was checked
+UNCHECKED_BEFORE = [
+    ("quantify", {"pipeline": {"layers": "2"}}, [], "pipeline.layers"),
+    ("quantify", {"seed": "3"}, [], "seed"),
+    ("quantify", {"grid": {"extent": "12"}}, [], "grid.extent"),
+    ("quantify", {"grid": {"nodes": "4096"}}, [], "grid.nodes"),
+    ("quantify", {"pipeline": {"prelayer_xbar": True}}, [], "pipeline.prelayer_xbar"),
+    ("depth", {"depth": {"asymptotic": "false"}}, [], "depth.asymptotic"),
+    (
+        "sweep",
+        {"sweep": {"parameter": "fock_n", "values": [1], "with_depth": "no"}},
+        [],
+        "sweep.with_depth",
+    ),
+    ("quantify", {"pipeline": {"conditioning_xbar": "0.5"}}, [], "pipeline.conditioning_xbar"),
+    ("oracle", {"oracle": {"samples_csv": 7}}, [], "oracle.samples_csv"),
+    ("quantify", {"outputs": {"report_json": ["a"]}}, [], "outputs.report_json"),
+    ("fit-phonons", {"rabi_model": {"omega01": True, "n_max": 2}}, [], "rabi_model.omega01"),
+    ("quantify", {"density_csv": 3}, [], "density_csv"),
+    ("quantify", {"pipeline": 3}, [], "pipeline"),
+]
+
+
 class TestConfigErrors:
     def test_no_input_source(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {})
@@ -186,6 +230,7 @@ class TestConfigErrors:
             ("quantify", {"seed": True}, [], "seed"),
             ("oracle", {"oracle": {"batches": 2.5}}, [], "oracle.batches"),
             ("quantify", {"grid": {"extent": True}}, [], "grid.extent"),
+            ("quantify", {"grid": {"extent": 10**400}}, [], "grid.extent"),
             ("quantify", {"pipeline": {"layers": 1.5}}, [], "pipeline.layers"),
             ("quantify", {"pipeline": {"layers": True}}, [], "pipeline.layers"),
             (
@@ -226,16 +271,21 @@ class TestConfigErrors:
                 [],
                 "state.angle",
             ),
-        ],
+        ]
+        + WRONG_KIND_CASES
+        + UNCHECKED_BEFORE,
         ids=[
             "seed", "seed-overflow", "grid-nodes", "grid-extent", "sweep-values-item",
             "sweep-values-scalar", "values-flag", "oracle-eps", "oracle-batches",
             "oracle-batch_size", "grid-nodes-fraction", "seed-fraction", "seed-bool",
-            "oracle-batches-fraction", "grid-extent-bool", "layers-fraction", "layers-bool",
+            "oracle-batches-fraction", "grid-extent-bool", "grid-extent-overflow",
+            "layers-fraction", "layers-bool",
             "prelayers-fraction", "n_max-fraction", "state-n-fraction", "state-n-bool",
             "side_peaks-fraction", "fock_n-fraction", "layers_N-fraction", "alpha-bool",
             "delta-string", "spacing-bool", "gamma-string", "nbar-bool", "angle-string",
-        ],
+        ]
+        + [f"{case[3]}-wrong-kind" for case in WRONG_KIND_CASES]
+        + [f"{case[3]}-unchecked-before" for case in UNCHECKED_BEFORE],
     )
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, extra, flags, key):
         payload = {"state": {"kind": "fock", "n": 1}, "pipeline": {"layers": 1}, **extra}
@@ -250,6 +300,32 @@ class TestConfigErrors:
         code, out, err = run_cli(["quantify", "--config", cfg], capsys)
         assert code == 2 and out == ""
         assert err.startswith("config error: ") and "thermal_nbar" in err
+
+    @pytest.mark.parametrize(
+        "source,model,field",
+        [
+            (
+                {"state": {"kind": "cat", "alpha": 2.0, "angle": math.nan}},
+                None,
+                "quadrature_angle",
+            ),
+            ({"state": {"kind": "cubic", "gamma": -math.inf}}, None, "gamma"),
+            ({"state": {"kind": "gkp", "delta": math.nan, "spacing": 2.5}}, None, "delta"),
+            (None, {"omega01": math.inf}, "omega01"),
+            (None, {"decay_exponent": math.nan}, "decay_exponent"),
+        ],
+        ids=["cat-angle-nan", "cubic-gamma-inf", "gkp-delta-nan", "omega01-inf", "decay-nan"],
+    )
+    def test_non_finite_setting_is_a_config_error(self, tmp_path, capsys, source, model, field):
+        command = "quantify"
+        if source is None:
+            command = "fit-phonons"
+            source = json.loads(Path(rabi_trace_config(tmp_path, [0.1, 0.8, 0.1])).read_text())
+            source["rabi_model"].update(model)
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, source)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: bad config: ") and err.count("\n") == 1
+        assert f"{field} must be finite" in err
 
     def test_clashing_output_paths(self, tmp_path, capsys):
         cfg = write_config(
@@ -339,6 +415,19 @@ class TestQuantifyCommand:
         _, out, _ = run_cli(["quantify", "--config", cfg], capsys)
         report = json.loads(out)
         assert report["layers"] == 2 and report["copies"] == 4
+
+
+    def test_integral_float_layers_run_as_an_integer(self, tmp_path, capsys):
+        outs = []
+        for layers in (2, 2.0):
+            cfg = write_config(
+                tmp_path, {"state": {"kind": "fock", "n": 1}, "pipeline": {"layers": layers}}
+            )
+            code, out, err = run_cli(["quantify", "--config", cfg], capsys)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[1])["layers"] == 2
 
 
 class TestDensityCsvRoundTrip:
@@ -680,6 +769,55 @@ class TestSweepCommand:
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""
         assert str(missing) in err
+
+    def test_cat_alpha_sweep(self, tmp_path, capsys):
+        state = {"kind": "cat", "alpha": 2.0}
+        cfg = write_config(
+            tmp_path,
+            {
+                "state": state,
+                "pipeline": {"layers": 1},
+                "sweep": {"parameter": "alpha", "values": [2.0, 1.5]},
+            },
+        )
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1.5", "2"]
+        assert all(row[-1] == "" for row in rows)
+        assert rows[0][1] != rows[1][1]
+        single = write_config(
+            tmp_path, {"state": state, "pipeline": {"layers": 1}}, name="single.json"
+        )
+        report = json.loads(run_cli(["quantify", "--config", single], capsys)[1])
+        assert rows[1][1] == format(report["min_variance"], ".12g")
+
+    @pytest.mark.parametrize(
+        "source,parameter,message",
+        [
+            ({"state": {"kind": "fock", "n": 1}}, "alpha", "needs a cat state, got 'fock'"),
+            (
+                {"state": {"kind": "mixture", "populations": [0.5, 0.5]}},
+                "fock_n",
+                "needs a fock state, got 'mixture'",
+            ),
+            ({"state": {"kind": "cat", "alpha": 2.0}}, "spacing", "needs a gkp state, got 'cat'"),
+            (
+                {"state": {"kind": "gkp", "delta": 0.3, "spacing": 2.5}},
+                "gamma",
+                "needs a cubic state, got 'gkp'",
+            ),
+            ({"density_csv": "density.csv"}, "nbar", "needs a state input"),
+        ],
+        ids=[
+            "alpha-of-fock", "fock_n-of-mixture", "spacing-of-cat", "gamma-of-gkp", "nbar-of-csv"
+        ],
+    )
+    def test_parameter_the_input_never_reads(self, tmp_path, capsys, source, parameter, message):
+        payload = {**source, "sweep": {"parameter": parameter, "values": [1, 2]}}
+        code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, payload)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: sweep over {parameter!r} {message}\n"
 
     def test_table_csv_output_section(self, tmp_path, capsys):
         dest = tmp_path / "table.csv"

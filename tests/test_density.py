@@ -119,7 +119,6 @@ class TestGlobalMaxima:
         locs = global_maxima(ground_density())
         assert len(locs) == 1
         assert abs(locs[0].a) <= 1e-6
-        assert locs[0].curvature < 0.0
 
     def test_fock1_twin_maxima(self):
         locs = global_maxima(fock1_density())
@@ -146,7 +145,6 @@ class TestGlobalMaxima:
 class LoopMaximum:
     a: float
     value: float
-    curvature: float
     is_global: bool
 
 
@@ -164,12 +162,12 @@ def loop_global_maxima(d, rel_tol=1e-3):
         y1, y2, y3 = v[i - 1], v[i], v[i + 1]
         denom = y1 - 2.0 * y2 + y3
         if denom >= 0.0:
-            out.append(LoopMaximum(d.x_min + i * h, float(y2), 0.0, False))
+            out.append(LoopMaximum(d.x_min + i * h, float(y2), False))
             continue
         delta = float(np.clip(0.5 * (y1 - y3) / denom, -1.0, 1.0))
         a = d.x_min + (i + delta) * h
         value = y2 - 0.25 * (y1 - y3) * delta
-        out.append(LoopMaximum(float(a), float(value), float(denom / h**2), False))
+        out.append(LoopMaximum(float(a), float(value), False))
     vmax = max(loc.value for loc in out)
     out = [
         dataclasses.replace(loc, is_global=loc.value >= (1.0 - rel_tol) * vmax)
@@ -182,7 +180,7 @@ def loop_global_maxima(d, rel_tol=1e-3):
 def loop_globals(d):
     """The loop's global maxima as global_maxima returns them."""
     return [
-        MaximumLocation(m.a, m.value, m.curvature)
+        MaximumLocation(m.a, m.value)
         for m in loop_global_maxima(d)
         if m.is_global
     ]
@@ -211,7 +209,6 @@ BIT_EXACT_SPECS = {
 def assert_plain_fields(maxima):
     for m in maxima:
         assert type(m.a) is float and type(m.value) is float
-        assert type(m.curvature) is float
 
 
 class TestGlobalMaximaBitExact:
@@ -248,7 +245,7 @@ class TestGlobalMaximaBitExact:
         assert got == loop_globals(d)
         assert_plain_fields(got)
         (m,) = got
-        assert (m.a, m.value, m.curvature) == (0.0, 1.0, 0.0)
+        assert (m.a, m.value) == (0.0, 1.0)
 
     @pytest.mark.parametrize("copies", [1, 4])
     @pytest.mark.parametrize("name", list(BIT_EXACT_SPECS))

@@ -153,6 +153,10 @@ class TestRabiFrequencies:
         for n_max in (2.5, 2.0, True):
             with pytest.raises(ValueError, match="n_max must be an integer"):
                 RabiModel(omega01=OMEGA, n_max=n_max)
+        for name in ("omega01", "gamma_decay", "lamb_dicke", "decay_exponent"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    RabiModel(**{"omega01": OMEGA, name: bad})
 
 
 class TestRabiSignal:

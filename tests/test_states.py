@@ -327,6 +327,23 @@ class TestRealize:
         with pytest.raises(InvalidStateSpec, match="finite and nonnegative"):
             StateSpec.from_dict({"kind": "fock", "n": 1, "nbar": nbar})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key,field",
+        [
+            ("alpha", "alpha"),
+            ("delta", "delta"),
+            ("spacing", "spacing"),
+            ("gamma", "gamma"),
+            ("angle", "quadrature_angle"),
+        ],
+    )
+    def test_real_fields_must_be_finite(self, key, field, value):
+        with pytest.raises(InvalidStateSpec, match=f"{field} must be finite"):
+            StateSpec(**{"kind": "cat", "alpha": 2.0, field: value})
+        with pytest.raises(InvalidStateSpec, match=f"{field} must be finite"):
+            StateSpec.from_dict({"kind": "cat", "alpha": 2.0, key: value})
+
     @pytest.mark.parametrize("value", [True, "2", None, [2.0]])
     @pytest.mark.parametrize("key", ["alpha", "delta", "spacing", "gamma", "nbar", "angle"])
     def test_from_dict_real_fields_take_only_numbers(self, key, value):
