@@ -6,14 +6,14 @@ the asymptotic bound.  The ground state sits exactly at the classical edge:
 its variance never drops below 1/2 no matter how many copies are burned.
 """
 
-from subplanck import DistillConfig, fock_density, quantify
+from subplanck import DistillConfig, StateSpec, quantify, realize
 
 
 def main() -> None:
     print("quantify(|n>) across layer counts; variance units: ground state = 0.5")
     print(f"{'n':>3} {'N':>3} {'copies':>7} {'min_var':>9} {'dB':>7} {'efficiency':>11}")
     for n in (1, 2, 4, 10):
-        p = fock_density(n)
+        p = realize(StateSpec(kind="fock", n=n))
         for layers in (1, 2, 3, 4):
             rep = quantify(p, DistillConfig(layers=layers))
             print(
@@ -22,7 +22,7 @@ def main() -> None:
             )
         print()
 
-    rep = quantify(fock_density(1), DistillConfig(layers=4))
+    rep = quantify(realize(StateSpec(kind="fock", n=1)), DistillConfig(layers=4))
     print(f"Fock 1, N=4: optimal filter transmissivity T = {rep.T_opt:.4f}, "
           f"asymptotic variance = {rep.asymptotic_variance:.4f}")
     print(f"squeezed? {rep.is_squeezed}")
@@ -30,7 +30,7 @@ def main() -> None:
     # roundoff can leave the ground state a hair under 0.5, so its efficiency
     # can read just above 1; the verdict stays classical
     print()
-    ground = quantify(fock_density(0), DistillConfig(layers=3))
+    ground = quantify(realize(StateSpec(kind="fock", n=0)), DistillConfig(layers=3))
     print(f"ground state, N=3: min_var = {ground.min_variance:.6f}, "
           f"efficiency = {ground.efficiency:.6f}, squeezed? {ground.is_squeezed}")
 

@@ -7,11 +7,11 @@ this script measures the agreement with a KS statistic and shows the price:
 acceptance falls roughly like the window width to the (2^N - 1).
 """
 
-from subplanck import fock_density, ks_distance, simulate_protocol, universal_distill
+from subplanck import StateSpec, ks_distance, realize, simulate_protocol, universal_distill
 
 
 def main() -> None:
-    p = fock_density(1)
+    p = realize(StateSpec(kind="fock", n=1))
     print("Fock 1, window eps = 0.05, seed 3")
     print(f"{'N':>3} {'attempted':>10} {'accepted':>9} {'rate':>10} {'KS':>8}")
     for layers in (1, 2, 3):

@@ -216,10 +216,7 @@ def resolve_density(cfg: RunConfig) -> GridDensity:
         return read_density_csv(cfg.density_csv)
     if cfg.rabi_csv is not None:
         fit = _fit_from_csv(cfg)
-        spec = StateSpec(
-            kind="mixture",
-            populations=tuple(float(p) for p in fit.distribution.populations),
-        )
+        spec = StateSpec(kind="mixture", populations=fit.distribution.populations)
         return realize(spec, _grid_for(cfg, spec))
     raise ConfigError("config names no input source")
 
@@ -296,6 +293,8 @@ def _write_samples(path: str, samples: np.ndarray) -> None:
 
 
 def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
+    if cfg.pipeline.nonuniversal_prelayers:
+        raise ConfigError("pipeline.nonuniversal_prelayers must be 0: oracle runs no prelayer")
     density = resolve_density(cfg)
     layers = cfg.pipeline.layers
     xbar = cfg.pipeline.conditioning_xbar

@@ -75,6 +75,8 @@ class GridSpec:
             raise GridTooNarrow(
                 f"grid extent must be finite and positive, got {self.extent!r}"
             )
+        if isinstance(self.nodes, bool) or not isinstance(self.nodes, (int, np.integer)):
+            raise PreconditionError(f"nodes must be an integer, got {self.nodes!r}")
         if self.nodes < MIN_NODES:
             raise TooFewPoints(f"need at least {MIN_NODES} nodes, got {self.nodes}")
 

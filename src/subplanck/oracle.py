@@ -148,10 +148,16 @@ class _InverseCdf:
         return out
 
 
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise PreconditionError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def sample_density(p: GridDensity, count: int, seed: int) -> np.ndarray:
     """Draw i.i.d. samples by inverse transform on the trapezoid CDF."""
     if count < 1:
         raise PreconditionError("count must be at least 1")
+    _check_seed(seed)
     draw = _InverseCdf(*_cdf_nodes(p))
     rng = np.random.default_rng(seed)
     return draw(rng, count)
@@ -184,6 +190,7 @@ def simulate_protocol(
         raise PreconditionError("window eps must be positive")
     if batches < 1 or batch_size < (1 << layers):
         raise PreconditionError("need at least one batch of 2^layers samples")
+    _check_seed(seed)
     draw = _InverseCdf(*_cdf_nodes(p))
     per_attempt = 1 << layers
     kept: list[np.ndarray] = []

@@ -28,11 +28,6 @@ from .phonon import check_populations
 __all__ = [
     "StateSpec",
     "airy_ai",
-    "fock_density",
-    "fock_mixture_density",
-    "cat_momentum_density",
-    "gkp_position_density",
-    "cubic_momentum_density",
     "default_grid",
     "realize",
 ]
@@ -57,6 +52,10 @@ _INTEGERS = (int, np.integer)
 _REALS = _INTEGERS + (float, np.floating)
 
 
+def _real(value) -> bool:
+    return isinstance(value, _REALS) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Declarative description of a catalog state.
@@ -65,8 +64,9 @@ class StateSpec:
     Gaussian blur of that variance and ``quadrature_angle`` picks the
     measured quadrature (0 or pi/2 where supported; number states are
     rotation invariant).  Real fields must be finite and are kept as Python
-    floats.  A spec that breaks these invariants raises
-    :class:`InvalidStateSpec` or :class:`InvalidPopulations` when built.
+    floats, and ``populations`` as a tuple of them.  A spec that breaks these
+    invariants raises :class:`InvalidStateSpec` or :class:`InvalidPopulations`
+    when built.
     """
 
     kind: str
@@ -88,9 +88,14 @@ class StateSpec:
             if kind is int and (isinstance(value, bool) or not isinstance(value, _INTEGERS)):
                 raise InvalidStateSpec(f"{field} must be an integer, got {value!r}")
             if kind is float:
-                if isinstance(value, bool) or not isinstance(value, _REALS):
+                if not _real(value):
                     raise InvalidStateSpec(f"{field} must be a number, got {value!r}")
                 object.__setattr__(self, field, float(value))
+            if kind is list and value is not None:
+                vector = isinstance(value, (list, tuple)) or np.ndim(value) == 1
+                if not vector or not all(map(_real, value)):
+                    raise InvalidPopulations(f"{field} must be a list of numbers, got {value!r}")
+                object.__setattr__(self, field, tuple(map(float, value)))
         if not (math.isfinite(self.thermal_nbar) and self.thermal_nbar >= 0.0):
             raise InvalidStateSpec(
                 f"thermal_nbar must be finite and nonnegative, got {self.thermal_nbar!r}"
@@ -123,8 +128,6 @@ class StateSpec:
         if unknown:
             raise InvalidStateSpec(f"unknown state keys: {sorted(unknown)}")
         fields = {STATE_KEYS[key][0]: value for key, value in data.items()}
-        if fields.get("populations") is not None:
-            fields["populations"] = tuple(fields["populations"])
         return StateSpec(**{"kind": "", **fields})
 
 
@@ -235,9 +238,8 @@ def default_grid(spec: StateSpec) -> GridSpec:
     if spec.kind == "fock":
         extent = _fock_extent(spec.n)
     elif spec.kind == "mixture":
-        pops = np.asarray(spec.populations, dtype=float)
-        occupied = np.nonzero(pops > 0.0)[0]
-        extent = _fock_extent(int(occupied[-1]) if occupied.size else 0)
+        # a valid population vector has mass, so some state is occupied
+        extent = _fock_extent(max(m for m, p in enumerate(spec.populations) if p > 0.0))
     elif spec.kind == "cat":
         extent = 8.0
         if abs(spec.quadrature_angle - 0.5 * math.pi) < 1e-12:
@@ -275,12 +277,8 @@ def _fock_wavefunctions(n_top: int, xs: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def fock_density(n: int, grid: GridSpec | None = None) -> GridDensity:
+def _fock_density(n: int, grid: GridSpec) -> GridDensity:
     """Position density of the number state ``n``."""
-    if n < 0:
-        raise InvalidStateSpec("fock index must be nonnegative")
-    if grid is None:
-        grid = GridSpec(_fock_extent(n))
     if grid.extent < _fock_extent(n) - 1e-9:
         raise GridTooNarrow(
             f"fock {n} needs extent >= {_fock_extent(n):.3f}, got {grid.extent}"
@@ -292,15 +290,11 @@ def fock_density(n: int, grid: GridSpec | None = None) -> GridDensity:
     return from_log_values(xs[0], grid.step, log_p)
 
 
-def fock_mixture_density(
-    populations: np.ndarray, grid: GridSpec | None = None
-) -> GridDensity:
+def _fock_mixture_density(populations: tuple[float, ...], grid: GridSpec) -> GridDensity:
     """Position density of an incoherent number-state mixture."""
-    pops = check_populations(np.asarray(populations, dtype=float))
+    pops = np.asarray(populations, dtype=float)
     occupied = np.nonzero(pops > 0.0)[0]
-    n_top = int(occupied[-1]) if occupied.size else 0
-    if grid is None:
-        grid = GridSpec(_fock_extent(n_top))
+    n_top = int(occupied[-1])
     if grid.extent < _fock_extent(n_top) - 1e-9:
         raise GridTooNarrow(
             f"mixture up to fock {n_top} needs extent >= {_fock_extent(n_top):.3f}"
@@ -315,15 +309,11 @@ def fock_mixture_density(
     return from_log_values(xs[0], grid.step, log_p)
 
 
-def cat_momentum_density(alpha: float, grid: GridSpec | None = None) -> GridDensity:
+def _cat_momentum_density(alpha: float, grid: GridSpec) -> GridDensity:
     """Momentum density of the even cat state with real amplitude ``alpha``.
 
     Proportional to exp(-p^2) cos^2(alpha p); the cosine zeros are exact.
     """
-    if not alpha > 0.0:
-        raise InvalidStateSpec("cat amplitude alpha must be positive")
-    if grid is None:
-        grid = GridSpec(8.0)
     ps = grid.xs()
     with np.errstate(divide="ignore"):
         log_p = -(ps**2) + 2.0 * np.log(np.abs(np.cos(alpha * ps)))
@@ -346,18 +336,14 @@ def _cat_position_density(alpha: float, grid: GridSpec) -> GridDensity:
     return from_log_values(xs[0], grid.step, log_p)
 
 
-def gkp_position_density(
-    delta: float, side_peaks: int, spacing: float, grid: GridSpec | None = None
+def _gkp_position_density(
+    delta: float, side_peaks: int, spacing: float, grid: GridSpec
 ) -> GridDensity:
     """Position density of a finite-energy grid state.
 
     A comb of Gaussians of width ``delta`` at multiples of ``2*spacing``
     under the standard finite-energy envelope, renormalized on the grid.
     """
-    if not delta > 0.0 or side_peaks < 1 or not spacing > 0.0:
-        raise InvalidStateSpec("gkp needs delta > 0, side_peaks >= 1, spacing > 0")
-    if grid is None:
-        grid = GridSpec(max(8.0, 2.0 * side_peaks * spacing + 6.0 * delta + 2.0))
     xs = grid.xs()
     ss = np.arange(-side_peaks, side_peaks + 1)
     centers = 2.0 * spacing * ss
@@ -386,21 +372,17 @@ def _gkp_momentum_density(
     return from_log_values(ps[0], grid.step, log_p)
 
 
-def cubic_momentum_density(gamma: float, grid: GridSpec | None = None) -> GridDensity:
+def _cubic_momentum_density(gamma: float, grid: GridSpec) -> GridDensity:
     """Momentum density of the cubic phase state, an exponentially tilted Airy.
 
     Nonzero gamma only; negative gamma mirrors the density in p.  The closed
     form is unnormalized, so the grid sum is renormalized; the slow exp(-p/6)
     tail on the oscillatory side is truncated by the grid.
     """
-    if gamma == 0.0:
-        raise InvalidStateSpec("cubic gamma must be nonzero")
-    if grid is None:
-        grid = GridSpec(14.0)
     if gamma < 0.0:
         # exact mirror: reuse the positive-gamma normalization so the two
         # parities agree to the bit
-        d = cubic_momentum_density(-gamma, grid)
+        d = _cubic_momentum_density(-gamma, grid)
         return GridDensity(
             x_min=-d.x_max,
             x_step=d.x_step,
@@ -416,7 +398,11 @@ def cubic_momentum_density(gamma: float, grid: GridSpec | None = None) -> GridDe
 
 
 def realize(spec: StateSpec, grid: GridSpec | None = None) -> GridDensity:
-    """Produce the quadrature density a :class:`StateSpec` describes."""
+    """Produce the quadrature density a :class:`StateSpec` describes.
+
+    The one way to build a catalog density: on ``grid``, or on the spec's
+    :func:`default_grid` when it is None.
+    """
     angle = spec.quadrature_angle
     rotated = abs(angle - 0.5 * math.pi) < 1e-12
     if not rotated and abs(angle) > 1e-12 and spec.kind not in ("fock", "mixture"):
@@ -426,28 +412,22 @@ def realize(spec: StateSpec, grid: GridSpec | None = None) -> GridDensity:
     if grid is None:
         grid = default_grid(spec)
     if spec.kind == "fock":
-        base = fock_density(spec.n, grid)
+        base = _fock_density(spec.n, grid)
     elif spec.kind == "mixture":
-        base = fock_mixture_density(np.asarray(spec.populations, dtype=float), grid)
+        base = _fock_mixture_density(spec.populations, grid)
     elif spec.kind == "cat":
-        base = (
-            _cat_position_density(spec.alpha, grid)
-            if rotated
-            else cat_momentum_density(spec.alpha, grid)
-        )
+        build = _cat_position_density if rotated else _cat_momentum_density
+        base = build(spec.alpha, grid)
     elif spec.kind == "gkp":
-        base = (
-            _gkp_momentum_density(spec.delta, spec.side_peaks, spec.spacing, grid)
-            if rotated
-            else gkp_position_density(spec.delta, spec.side_peaks, spec.spacing, grid)
-        )
+        build = _gkp_momentum_density if rotated else _gkp_position_density
+        base = build(spec.delta, spec.side_peaks, spec.spacing, grid)
     else:  # cubic
         if rotated:
             # the cubic phase leaves the position density untouched: pure ground state
             xs = grid.xs()
             base = from_log_values(xs[0], grid.step, -(xs**2))
         else:
-            base = cubic_momentum_density(spec.gamma, grid)
+            base = _cubic_momentum_density(spec.gamma, grid)
     if spec.thermal_nbar > 0.0:
         base = convolve_gaussian(base, spec.thermal_nbar)
     return base

@@ -30,7 +30,7 @@ from subplanck.distill import (
 )
 from subplanck.oracle import ks_distance, simulate_protocol
 from subplanck.phonon import RabiModel, fit_populations, rabi_signal
-from subplanck.states import StateSpec, default_grid, fock_density, realize
+from subplanck.states import StateSpec, default_grid, realize
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -45,7 +45,7 @@ def test_a01_ground_state_is_a_fixed_point():
     slowest = 0.0
     for layers in range(9):
         t0 = time.perf_counter()
-        rep = quantify(fock_density(0), DistillConfig(layers=layers))
+        rep = quantify(realize(StateSpec(kind="fock", n=0)), DistillConfig(layers=layers))
         slowest = max(slowest, time.perf_counter() - t0)
         worst_mv = max(worst_mv, abs(rep.min_variance - 0.5))
         worst_av = max(worst_av, abs(rep.asymptotic_variance - 0.5))
@@ -62,7 +62,7 @@ def test_a01_ground_state_is_a_fixed_point():
 
 
 def test_a02_fock1_asymptotics_and_thermal_concavity():
-    p1 = fock_density(1)
+    p1 = realize(StateSpec(kind="fock", n=1))
     asym = asymptotic_variance(p1)
     worst = 0.0
     for nbar in (0.0, 0.1, 0.2):
@@ -124,7 +124,7 @@ def test_a06_monotone_in_layers_and_fock_number():
     mv = {}
     eff = {}
     for n in ns:
-        p = fock_density(n)
+        p = realize(StateSpec(kind="fock", n=n))
         for layers in layer_counts:
             rep = quantify(p, DistillConfig(layers=layers))
             mv[n, layers] = rep.min_variance
@@ -152,7 +152,7 @@ def test_a06_monotone_in_layers_and_fock_number():
 
 def test_a07_thermalized_fock1_closed_form():
     nbar = 0.2
-    th = convolve_gaussian(fock_density(1), nbar)
+    th = convolve_gaussian(realize(StateSpec(kind="fock", n=1)), nbar)
     x = th.xs()
     s = 1.0 + 2.0 * nbar
     closed = (
@@ -282,12 +282,13 @@ def test_a12_monte_carlo_matches_deterministic_pipeline():
     t0 = time.perf_counter()
     stats = {}
     for n, batches in ((1, 800), (4, 1600)):
-        p = fock_density(n)
+        p = realize(StateSpec(kind="fock", n=n))
         run = simulate_protocol(p, 2, eps=0.02, batches=batches, seed=7, batch_size=1 << 20)
         ks = ks_distance(run.samples_out, universal_distill(p, 2))
         stats[n] = (run.accepted, ks)
+    fock1 = realize(StateSpec(kind="fock", n=1))
     rates = [
-        simulate_protocol(fock_density(1), layers, eps=0.02, seed=7).acceptance_rate
+        simulate_protocol(fock1, layers, eps=0.02, seed=7).acceptance_rate
         for layers in (1, 2, 3)
     ]
     elapsed = time.perf_counter() - t0

@@ -19,7 +19,7 @@ from subplanck.cli import canonical_json, main
 from subplanck.density import GridSpec
 from subplanck.oracle import simulate_protocol
 from subplanck.phonon import RabiModel, rabi_signal
-from subplanck.states import fock_density
+from subplanck.states import StateSpec, realize
 
 # layers_N sweeps of a Rabi trace of Fock 1 (fitted populations) and of the
 # Fock 1 state with its asymptotic depth, as the per-point sweep wrote them.
@@ -597,7 +597,9 @@ class TestOracleCommand:
         payload["oracle"]["samples_csv"] = str(samples)
         code, _, _ = run_cli(["oracle", "--config", write_config(tmp_path, payload)], capsys)
         assert code == 0
-        run = simulate_protocol(fock_density(1), 2, eps=0.05, batches=4, seed=0)
+        run = simulate_protocol(
+            realize(StateSpec(kind="fock", n=1)), 2, eps=0.05, batches=4, seed=0
+        )
         reference = tmp_path / "savetxt.csv"
         np.savetxt(reference, run.samples_out, fmt="%.17g")
         assert samples.read_bytes() == reference.read_bytes()
@@ -617,6 +619,24 @@ class TestOracleCommand:
         payload["pipeline"] = {"layers": 5}
         cfg = write_config(tmp_path, payload)
         assert run_cli(["oracle", "--config", cfg], capsys)[0] == 3
+
+    @pytest.mark.parametrize("flags,seed", [(["--seed", "-1"], 0), ([], -1)], ids=["flag", "config"])
+    def test_negative_seed_is_a_precondition_error(self, tmp_path, capsys, flags, seed):
+        cfg = write_config(tmp_path, {**self.payload(), "seed": seed})
+        code, out, err = run_cli(["oracle", "--config", cfg, *flags], capsys)
+        assert (code, out) == (3, "")
+        assert err == "precondition error: seed must be a nonnegative integer, got -1\n"
+        # quantify never draws, so it ignores the seed
+        assert run_cli(["quantify", "--config", cfg, *flags], capsys)[0] == 0
+
+    def test_prelayer_is_a_config_error(self, tmp_path, capsys):
+        payload = self.payload()
+        payload["pipeline"] = {"layers": 1, "nonuniversal_prelayers": 1, "prelayer_xbar": 0.7}
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(["oracle", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: pipeline.nonuniversal_prelayers ")
+        assert err.count("\n") == 1
 
 
 class TestSweepCommand:
@@ -858,6 +878,17 @@ class TestReadmeExample:
         assert sorted(c.split()[0] for c in commands) == [
             "depth", "export-density", "oracle", "quantify", "sweep"
         ]
+
+
+class TestReadmeLibraryQuickStart:
+    def test_quick_start_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library quick start", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        exec(compile(code, "README.md", "exec"), {})
+        min_variance, squeezing_db, is_squeezed = capsys.readouterr().out.split()
+        assert 0.0 < float(min_variance) < 0.5
+        assert float(squeezing_db) < 0.0 and is_squeezed == "True"
 
 
 class TestFitPhononsCommand:

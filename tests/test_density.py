@@ -30,6 +30,7 @@ from subplanck.errors import (
     NonUniformGrid,
     NoInteriorMaximum,
     NotPowerOfTwo,
+    PreconditionError,
     TooFewPoints,
     WindowOutOfRange,
     ZeroMass,
@@ -95,6 +96,18 @@ class TestConstruction:
         xs = np.linspace(-8.0, 8.0, 63)
         with pytest.raises(TooFewPoints):
             make_grid_density(xs, np.exp(-(xs**2)))
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("nodes", [4096.0, np.float64(4096), True, "4096", None], ids=repr)
+    def test_nodes_must_be_an_integer(self, nodes):
+        with pytest.raises(PreconditionError, match=r"^nodes must be an integer"):
+            GridSpec(10.0, nodes)
+
+    def test_numpy_integer_nodes(self):
+        grid = GridSpec(10.0, np.int64(512))
+        assert np.array_equal(grid.xs(), GridSpec(10.0, 512).xs())
+        assert grid.step == GridSpec(10.0, 512).step
 
 
 class TestMoments:

@@ -15,7 +15,7 @@ from subplanck.depth import (
     wigner_negativity_depth,
 )
 from subplanck.errors import CutoffTooSmall, NoSqueezingAtZero
-from subplanck.states import StateSpec, fock_mixture_density, realize
+from subplanck.states import StateSpec, realize
 
 
 class TestWignerOrigin:
@@ -118,7 +118,7 @@ class TestNumberDistribution:
         n, nbar = 1, 0.2
         grid = GridSpec(17.0, 4096)
         pops = thermal_fock_number_distribution(n, nbar, cutoff=13).populations
-        via_mixture = fock_mixture_density(pops, grid)
+        via_mixture = realize(StateSpec(kind="mixture", populations=pops), grid)
         direct = realize(StateSpec(kind="fock", n=n, thermal_nbar=nbar), grid)
         onto_nodes = np.exp(log_interp(direct, via_mixture.xs()))
         assert np.max(np.abs(via_mixture.values() - onto_nodes)) <= 1e-5

@@ -38,7 +38,7 @@ from subplanck.errors import (
     ZeroMass,
     ZeroMassCondition,
 )
-from subplanck.states import StateSpec, cubic_momentum_density, fock_density, realize
+from subplanck.states import StateSpec, realize
 
 
 def gaussian(sigma2, mu=0.0, extent=10.0, nodes=4096):
@@ -48,14 +48,14 @@ def gaussian(sigma2, mu=0.0, extent=10.0, nodes=4096):
 
 class TestUniversalDistill:
     def test_ground_is_fixed_point(self):
-        p = fock_density(0)
+        p = realize(StateSpec(kind="fock", n=0))
         q = universal_distill(p, 4)
         assert abs(variance(q) - variance(p)) <= 1e-9
 
     def test_filtered_variance_approaches_limit(self):
         # the raw distilled density keeps the mirror peak, so only the
         # filtered variance is monotone in the layer count
-        p = fock_density(1)
+        p = realize(StateSpec(kind="fock", n=1))
         limit = asymptotic_variance(p)
         prev = math.inf
         for layers in (1, 2, 3, 4):
@@ -66,18 +66,18 @@ class TestUniversalDistill:
 
     def test_layer_bound(self):
         with pytest.raises(ValueError):
-            universal_distill(fock_density(0), 13)
+            universal_distill(realize(StateSpec(kind="fock", n=0)), 13)
 
 
 class TestNonuniversalLayer:
     def test_zero_offset_matches_universal_layer(self):
-        p = fock_density(1)
+        p = realize(StateSpec(kind="fock", n=1))
         a = nonuniversal_layer(p, 0.0)
         b = universal_distill(p, 1)
         assert np.max(np.abs(a.values() - b.values())) <= 1e-12
 
     def test_output_is_symmetric_for_asymmetric_input(self):
-        p = cubic_momentum_density(1.0)
+        p = realize(StateSpec(kind="cubic", gamma=1.0))
         q = nonuniversal_layer(p, 5.0)
         vals = q.values()
         assert np.max(np.abs(vals - vals[::-1])) <= 1e-10
@@ -96,7 +96,7 @@ class TestNonuniversalLayer:
 
 class TestBinarySequenceDistill:
     def test_zero_offset_matches_power_scaling(self):
-        p = fock_density(1)
+        p = realize(StateSpec(kind="fock", n=1))
         a = binary_sequence_distill(p, 3, 0.0)
         b = universal_distill(p, 3)
         assert np.max(np.abs(a.values() - b.values())) <= 1e-12
@@ -109,12 +109,12 @@ class TestBinarySequenceDistill:
 
     def test_layer_bound(self):
         with pytest.raises(ValueError):
-            binary_sequence_distill(fock_density(1), 5, 0.1)
+            binary_sequence_distill(realize(StateSpec(kind="fock", n=1)), 5, 0.1)
 
 
 class TestDisplaceToOrigin:
     def test_fock1_picks_positive_twin(self):
-        shifted, chosen = displace_to_origin(fock_density(1))
+        shifted, chosen = displace_to_origin(realize(StateSpec(kind="fock", n=1)))
         assert chosen.a == pytest.approx(1.0, abs=1e-3)
         peak = max(global_maxima(shifted), key=lambda m: m.value)
         assert abs(peak.a) <= 1e-9
@@ -128,7 +128,7 @@ class TestDisplaceToOrigin:
 
 class TestGroundStateFilter:
     def test_full_transmission_is_identity(self):
-        p = fock_density(1)
+        p = realize(StateSpec(kind="fock", n=1))
         q = filter_with_ground_state(p, 1.0)
         assert np.max(np.abs(q.values() - p.values())) <= 1e-12
 
@@ -144,7 +144,7 @@ class TestGroundStateFilter:
     @pytest.mark.parametrize("t", [0.0, -0.1, 1.01])
     def test_transmissivity_range(self, t):
         with pytest.raises(ValueError):
-            filter_with_ground_state(fock_density(0), t)
+            filter_with_ground_state(realize(StateSpec(kind="fock", n=0)), t)
 
 
 class TestOptimizeFilter:
@@ -161,10 +161,12 @@ class TestOptimizeFilter:
 
 class TestAsymptoticVariance:
     def test_ground(self):
-        assert asymptotic_variance(fock_density(0)) == pytest.approx(0.5, abs=1e-6)
+        p = realize(StateSpec(kind="fock", n=0))
+        assert asymptotic_variance(p) == pytest.approx(0.5, abs=1e-6)
 
     def test_fock1(self):
-        assert asymptotic_variance(fock_density(1)) == pytest.approx(0.25, abs=1e-4)
+        p = realize(StateSpec(kind="fock", n=1))
+        assert asymptotic_variance(p) == pytest.approx(0.25, abs=1e-4)
 
     def test_thermalized_fock1_reaches_ground_level(self):
         d = realize(StateSpec(kind="fock", n=1, thermal_nbar=0.25))
@@ -196,7 +198,7 @@ class TestEfficiency:
 
 class TestQuantify:
     def test_fock1_defaults(self):
-        report = quantify(fock_density(1))
+        report = quantify(realize(StateSpec(kind="fock", n=1)))
         assert report.layers == 4
         assert report.copies == 16
         assert report.is_squeezed
@@ -209,12 +211,12 @@ class TestQuantify:
         )
 
     def test_ground_is_not_squeezed(self):
-        report = quantify(fock_density(0))
+        report = quantify(realize(StateSpec(kind="fock", n=0)))
         assert not report.is_squeezed
         assert report.min_variance == pytest.approx(0.5, abs=1e-4)
 
     def test_cubic_needs_nonuniversal_prelayer(self):
-        p = cubic_momentum_density(1.0)
+        p = realize(StateSpec(kind="cubic", gamma=1.0))
         bare = quantify(p, DistillConfig(layers=2))
         assert bare.asymptotic_variance >= 0.5
         cfg = DistillConfig(layers=2, nonuniversal_prelayers=1, prelayer_xbar=5.0)
@@ -223,7 +225,7 @@ class TestQuantify:
         assert primed.is_squeezed
 
     def test_conditioned_pipeline_matches_universal_at_zero(self):
-        p = fock_density(1)
+        p = realize(StateSpec(kind="fock", n=1))
         a = quantify(p, DistillConfig(layers=3))
         b = quantify(p, DistillConfig(layers=3, conditioning_xbar=1e-30))
         assert b.min_variance == pytest.approx(a.min_variance, rel=1e-9)
@@ -258,7 +260,7 @@ class TestQuantify:
             return original(q, transmissivity)
 
         monkeypatch.setattr(distill, "_filter_window", counting)
-        p = fock_density(1)
+        p = realize(StateSpec(kind="fock", n=1))
         quantify(p, DistillConfig(layers=2))
         in_quantify = len(calls)
         calls.clear()
@@ -452,7 +454,9 @@ class TestFilterScanBitExact:
     @pytest.mark.parametrize(
         "q,t",
         [
-            pytest.param(shift(fock_density(1), 100.0), 1e-4, id="collapsed-window"),
+            pytest.param(
+                shift(realize(StateSpec(kind="fock", n=1)), 100.0), 1e-4, id="collapsed-window"
+            ),
             pytest.param(
                 make_grid_density(GridSpec(10.0).xs(), np.r_[np.zeros(4086), np.ones(10)]),
                 1e-4,
@@ -468,7 +472,7 @@ class TestFilterScanBitExact:
                 0.5,
                 id="nan-nodes",
             ),
-            pytest.param(fock_density(1), 0.0, id="zero-transmissivity"),
+            pytest.param(realize(StateSpec(kind="fock", n=1)), 0.0, id="zero-transmissivity"),
         ],
     )
     def test_failures_match_reference(self, q, t):

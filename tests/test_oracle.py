@@ -18,7 +18,7 @@ from subplanck.oracle import (
     sample_density,
     simulate_protocol,
 )
-from subplanck.states import StateSpec, default_grid, fock_density, realize
+from subplanck.states import StateSpec, default_grid, realize
 
 
 def cumulative_on(d, grid):
@@ -88,7 +88,7 @@ class TestInverseCdfBitExact:
         "count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, (1 << 17) + 3]
     )
     def test_chunk_edges(self, count):
-        xs, cdf = _cdf_nodes(fock_density(2))
+        xs, cdf = _cdf_nodes(realize(StateSpec(kind="fock", n=2)))
         got = _InverseCdf(xs, cdf)(np.random.default_rng(count), count)
         u = np.random.default_rng(count).random(count)
         assert_same_bytes(got, np.interp(u, cdf, xs))
@@ -124,42 +124,54 @@ class TestInverseCdfBitExact:
 
 class TestSampleDensity:
     def test_ground_moments(self):
-        samples = sample_density(fock_density(0), 1_000_000, seed=1)
+        samples = sample_density(realize(StateSpec(kind="fock", n=0)), 1_000_000, seed=1)
         assert abs(samples.mean()) <= 0.005
         assert abs(samples.var() - 0.5) <= 0.005
 
     def test_fock1_moments(self):
-        samples = sample_density(fock_density(1), 1_000_000, seed=2)
+        samples = sample_density(realize(StateSpec(kind="fock", n=1)), 1_000_000, seed=2)
         assert abs(samples.mean()) <= 0.005
         assert abs(samples.var() - 1.5) <= 0.01
 
     def test_deterministic_per_seed(self):
-        a = sample_density(fock_density(1), 5000, seed=7)
-        b = sample_density(fock_density(1), 5000, seed=7)
-        c = sample_density(fock_density(1), 5000, seed=8)
+        a = sample_density(realize(StateSpec(kind="fock", n=1)), 5000, seed=7)
+        b = sample_density(realize(StateSpec(kind="fock", n=1)), 5000, seed=7)
+        c = sample_density(realize(StateSpec(kind="fock", n=1)), 5000, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_count_validated(self):
         with pytest.raises(PreconditionError):
-            sample_density(fock_density(0), 0, seed=0)
+            sample_density(realize(StateSpec(kind="fock", n=0)), 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None], ids=repr)
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        p = realize(StateSpec(kind="fock", n=0))
+        with pytest.raises(PreconditionError, match="seed must be a nonnegative integer"):
+            sample_density(p, 10, seed=seed)
+        with pytest.raises(PreconditionError, match="seed must be a nonnegative integer"):
+            simulate_protocol(p, 1, batches=1, seed=seed)
+
+    def test_numpy_integer_seed_is_an_integer(self):
+        p = realize(StateSpec(kind="fock", n=0))
+        assert_same_bytes(sample_density(p, 10, seed=np.int64(5)), sample_density(p, 10, seed=5))
 
     def test_samples_match_density(self):
-        samples = sample_density(fock_density(1), 200_000, seed=3)
-        assert ks_distance(samples, fock_density(1)) <= 0.01
+        samples = sample_density(realize(StateSpec(kind="fock", n=1)), 200_000, seed=3)
+        assert ks_distance(samples, realize(StateSpec(kind="fock", n=1))) <= 0.01
 
 
 class TestSimulateProtocol:
     def test_single_layer_matches_deterministic(self):
         # one ground-state layer conditioned at zero: the sum port is again
         # the ground state, up to the finite window bias measured by KS
-        p = fock_density(0)
+        p = realize(StateSpec(kind="fock", n=0))
         run = simulate_protocol(p, 1, eps=0.02, batches=80, seed=4)
         assert run.accepted >= 100_000
         assert ks_distance(run.samples_out, universal_distill(p, 1)) <= 0.01
 
     def test_run_is_reproducible(self):
-        p = fock_density(1)
+        p = realize(StateSpec(kind="fock", n=1))
         a = simulate_protocol(p, 2, eps=0.05, batches=4, seed=9)
         b = simulate_protocol(p, 2, eps=0.05, batches=4, seed=9)
         assert np.array_equal(a.samples_out, b.samples_out)
@@ -170,7 +182,7 @@ class TestSimulateProtocol:
         # window-averaged two-copy product; its distance to the exact-point
         # output is the pure bias, far below KS sampling noise at any
         # affordable sample count, so compare expectations directly
-        p = fock_density(1)
+        p = realize(StateSpec(kind="fock", n=1))
         exact = universal_distill(p, 1)
 
         def windowed_expectation(eps):
@@ -192,7 +204,7 @@ class TestSimulateProtocol:
         assert biases[2] <= 1e-4
 
     def test_acceptance_grows_with_window(self):
-        p = fock_density(1)
+        p = realize(StateSpec(kind="fock", n=1))
         majority = 0
         for seed in range(5):
             rates = [
@@ -204,39 +216,42 @@ class TestSimulateProtocol:
 
     def test_batches_are_a_prefix(self):
         # each batch draws from its own (seed, batch index) stream
-        p = fock_density(1)
+        p = realize(StateSpec(kind="fock", n=1))
         four = simulate_protocol(p, 2, eps=0.05, batches=4, seed=9)
         eight = simulate_protocol(p, 2, eps=0.05, batches=8, seed=9)
         assert_same_bytes(four.samples_out, eight.samples_out[: four.accepted])
         assert eight.accepted > four.accepted
 
     def test_acceptance_bookkeeping(self):
-        run = simulate_protocol(fock_density(0), 2, eps=0.05, batches=2, seed=0)
+        p = realize(StateSpec(kind="fock", n=0))
+        run = simulate_protocol(p, 2, eps=0.05, batches=2, seed=0)
         assert run.attempted == 2 * ((1 << 17) // 4)
         assert 0 < run.accepted <= run.attempted
         assert run.acceptance_rate == run.accepted / run.attempted
 
     def test_unreachable_condition(self):
+        p = realize(StateSpec(kind="fock", n=0))
         with pytest.raises(NoAcceptedSamples):
-            simulate_protocol(fock_density(0), 1, xbar=30.0, batches=2, seed=0)
+            simulate_protocol(p, 1, xbar=30.0, batches=2, seed=0)
 
     def test_layer_bound(self):
         with pytest.raises(PreconditionError):
-            simulate_protocol(fock_density(0), MAX_PROTOCOL_LAYERS + 1)
+            simulate_protocol(realize(StateSpec(kind="fock", n=0)), MAX_PROTOCOL_LAYERS + 1)
         with pytest.raises(PreconditionError):
-            simulate_protocol(fock_density(0), 0)
+            simulate_protocol(realize(StateSpec(kind="fock", n=0)), 0)
 
     def test_window_must_be_positive(self):
         with pytest.raises(PreconditionError):
-            simulate_protocol(fock_density(0), 1, eps=0.0)
+            simulate_protocol(realize(StateSpec(kind="fock", n=0)), 1, eps=0.0)
 
     def test_samples_are_frozen(self):
-        run = simulate_protocol(fock_density(0), 1, batches=1, seed=0)
+        run = simulate_protocol(realize(StateSpec(kind="fock", n=0)), 1, batches=1, seed=0)
         with pytest.raises(ValueError):
             run.samples_out[0] = 0.0
 
     def test_report_fields(self):
-        run = simulate_protocol(fock_density(0), 1, eps=0.05, batches=1, seed=3)
+        p = realize(StateSpec(kind="fock", n=0))
+        run = simulate_protocol(p, 1, eps=0.05, batches=1, seed=3)
         d = run.to_dict()
         assert list(d) == [
             "accepted",
@@ -252,16 +267,16 @@ class TestSimulateProtocol:
 
 class TestKsDistance:
     def test_self_consistency(self):
-        p = fock_density(0)
+        p = realize(StateSpec(kind="fock", n=0))
         assert ks_distance(sample_density(p, 100_000, seed=5), p) <= 0.01
 
     def test_separates_distinct_densities(self):
-        samples = sample_density(fock_density(0), 100_000, seed=6)
-        assert ks_distance(samples, fock_density(1)) >= 0.2
+        samples = sample_density(realize(StateSpec(kind="fock", n=0)), 100_000, seed=6)
+        assert ks_distance(samples, realize(StateSpec(kind="fock", n=1))) >= 0.2
 
     def test_minimum_sample_count(self):
         with pytest.raises(TooFewSamples):
-            ks_distance(np.zeros(99), fock_density(0))
+            ks_distance(np.zeros(99), realize(StateSpec(kind="fock", n=0)))
 
 
 class TestProtocolRun:

@@ -16,6 +16,18 @@ def test_all_is_unique_and_resolves():
         assert hasattr(subplanck, name), name
 
 
+def test_catalog_densities_are_built_only_through_realize():
+    for name in (
+        "fock_density",
+        "fock_mixture_density",
+        "cat_momentum_density",
+        "gkp_position_density",
+        "cubic_momentum_density",
+    ):
+        assert name not in subplanck.__all__ and not hasattr(subplanck, name), name
+    assert "realize" in subplanck.__all__
+
+
 def test_bench_trace_targets_resolve():
     # bench/spans.py wraps these module attributes for --trace; each must
     # still name a callable, or traced benchmark runs fail

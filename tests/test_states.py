@@ -26,12 +26,7 @@ from subplanck.errors import (
 from subplanck.states import (
     StateSpec,
     airy_ai,
-    cat_momentum_density,
-    cubic_momentum_density,
     default_grid,
-    fock_density,
-    fock_mixture_density,
-    gkp_position_density,
     realize,
 )
 
@@ -101,63 +96,90 @@ class TestAiry:
 
 class TestFockDensities:
     def test_ground_state(self):
-        d = fock_density(0)
+        d = realize(StateSpec(kind="fock", n=0))
         xs = d.xs()
         assert np.max(np.abs(d.values() - np.exp(-(xs**2)) / SQRT_PI)) <= 1e-10
         assert abs(variance(d) - 0.5) <= 1e-6
 
     def test_fock1_pointwise(self):
-        d = fock_density(1)
+        d = realize(StateSpec(kind="fock", n=1))
         xs = d.xs()
         expected = 2.0 * xs**2 * np.exp(-(xs**2)) / SQRT_PI
         assert np.max(np.abs(d.values() - expected)) <= 1e-10
 
     @pytest.mark.parametrize("n", [0, 1, 5, 10, 20, 30])
     def test_variance_law(self, n):
-        assert abs(variance(fock_density(n)) - (n + 0.5)) <= 1e-4
+        assert abs(variance(realize(StateSpec(kind="fock", n=n))) - (n + 0.5)) <= 1e-4
 
     def test_symmetry(self):
-        vals = fock_density(7).values()
+        vals = realize(StateSpec(kind="fock", n=7)).values()
         assert np.max(np.abs(vals - vals[::-1])) <= 1e-10
 
     def test_narrow_grid_rejected(self):
         with pytest.raises(GridTooNarrow):
-            fock_density(10, GridSpec(4.0))
+            realize(StateSpec(kind="fock", n=10), GridSpec(4.0))
 
 
 class TestFockMixtures:
     def test_single_component(self):
-        d = fock_mixture_density(np.array([1.0]))
-        ref = fock_density(0, GridSpec(d.x_max, len(d.log_p)))
+        d = realize(StateSpec(kind="mixture", populations=np.array([1.0])))
+        ref = realize(StateSpec(kind="fock", n=0), GridSpec(d.x_max, len(d.log_p)))
         assert np.max(np.abs(d.values() - ref.values())) <= 1e-12
 
     def test_convex_combination(self):
         grid = GridSpec(10.0)
-        d = fock_mixture_density(np.array([0.5, 0.5]), grid)
-        expected = 0.5 * fock_density(0, grid).values() + 0.5 * fock_density(1, grid).values()
+        d = realize(StateSpec(kind="mixture", populations=np.array([0.5, 0.5])), grid)
+        expected = (
+            0.5 * realize(StateSpec(kind="fock", n=0), grid).values()
+            + 0.5 * realize(StateSpec(kind="fock", n=1), grid).values()
+        )
         assert np.max(np.abs(d.values() - expected)) <= 1e-12
 
     def test_symmetric_mixture_variance(self):
-        d = fock_mixture_density(np.array([0.05, 0.90, 0.05]))
+        d = realize(StateSpec(kind="mixture", populations=np.array([0.05, 0.90, 0.05])))
         assert abs(variance(d) - 1.5) <= 1e-6
 
     def test_invalid_populations(self):
         with pytest.raises(InvalidPopulations):
-            fock_mixture_density(np.array([0.7, 0.2]))
+            realize(StateSpec(kind="mixture", populations=np.array([0.7, 0.2])))
         with pytest.raises(InvalidPopulations):
-            fock_mixture_density(np.array([1.2, -0.2]))
+            realize(StateSpec(kind="mixture", populations=np.array([1.2, -0.2])))
+
+    def test_populations_are_a_tuple_of_floats(self):
+        # an array, a list and a tuple are the same spec and the same density
+        forms = [np.array([0.25, 0.5, 0.25]), [0.25, 0.5, 0.25], (0.25, np.float64(0.5), 0.25)]
+        specs = [StateSpec(kind="mixture", populations=pops) for pops in forms]
+        assert specs[0] == specs[1] == specs[2]
+        assert specs[0].populations == (0.25, 0.5, 0.25)
+        assert all(type(v) is float for v in specs[0].populations)
+        assert StateSpec.from_dict({"kind": "mixture", "populations": forms[1]}) == specs[0]
+        densities = [realize(spec) for spec in specs]
+        for d in densities[1:]:
+            assert (d.x_min, d.x_step, d.norm_log) == (
+                densities[0].x_min, densities[0].x_step, densities[0].norm_log
+            )
+            assert d.log_p.tobytes() == densities[0].log_p.tobytes()
+
+    @pytest.mark.parametrize(
+        "pops",
+        [np.array([[0.5, 0.5]]), "0.5", 1.0, [True, False], [0.5, "0.5"], [0.5, [0.5]]],
+        ids=repr,
+    )
+    def test_populations_must_be_a_list_of_numbers(self, pops):
+        with pytest.raises(InvalidPopulations, match="populations must be a list of numbers"):
+            StateSpec(kind="mixture", populations=pops)
 
 
 class TestCatDensity:
     def test_small_alpha_limit(self):
-        d = cat_momentum_density(1e-4)
+        d = realize(StateSpec(kind="cat", alpha=1e-4))
         xs = d.xs()
         assert np.max(np.abs(d.values() - np.exp(-(xs**2)) / SQRT_PI)) <= 1e-6
 
     def test_alpha2_maximum_and_first_zero(self):
         # fine grid: the parabolic dip refinement carries an O(h^2) envelope
         # bias, and the target tolerance is 1e-6
-        d = cat_momentum_density(2.0, GridSpec(8.0, 16384))
+        d = realize(StateSpec(kind="cat", alpha=2.0), GridSpec(8.0, 16384))
         locs = global_maxima(d)
         assert len(locs) == 1
         assert abs(locs[0].a) <= 1e-6
@@ -171,11 +193,11 @@ class TestCatDensity:
         assert abs(zero - math.pi / 4.0) <= 1e-6
 
     def test_large_alpha_squeezes_asymptotically(self):
-        assert asymptotic_variance(cat_momentum_density(5.0)) < 0.25
+        assert asymptotic_variance(realize(StateSpec(kind="cat", alpha=5.0))) < 0.25
 
     @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.0])
     def test_fringe_zero_count(self, alpha):
-        d = cat_momentum_density(alpha)
+        d = realize(StateSpec(kind="cat", alpha=alpha))
         xs = d.xs()
         # dips of density / envelope below 0.01 inside [-alpha, alpha]
         ratio = d.values() / np.exp(-(xs**2))
@@ -189,15 +211,15 @@ class TestCatDensity:
 
 class TestGkpDensity:
     def test_full_spacing_central_variance(self):
-        d = gkp_position_density(0.3, 3, SQRT_PI)
+        d = realize(StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=SQRT_PI))
         assert abs(asymptotic_variance(d) - 0.045) <= 1e-4
 
     def test_huge_spacing_isolates_central_peak(self):
-        d = gkp_position_density(0.3, 1, 50.0)
+        d = realize(StateSpec(kind="gkp", delta=0.3, side_peaks=1, spacing=50.0))
         assert abs(variance(d) - 0.045) <= 1e-6
 
     def test_reduced_spacing_broadens(self):
-        d = gkp_position_density(0.3, 3, SQRT_PI / 4.0)
+        d = realize(StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=SQRT_PI / 4.0))
         locs = global_maxima(d)
         assert len(locs) == 1 and abs(locs[0].a) <= 1e-6
         assert variance(d) > 0.5
@@ -207,7 +229,7 @@ class TestGkpDensity:
         # mass ratio is the weight ratio without interpolation error
         spacing = SQRT_PI
         delta = 0.3
-        d = gkp_position_density(delta, 3, spacing)
+        d = realize(StateSpec(kind="gkp", delta=delta, side_peaks=3, spacing=spacing))
         xs = d.xs()
         vals = d.values()
 
@@ -220,13 +242,13 @@ class TestGkpDensity:
         )
 
     def test_symmetry(self):
-        vals = gkp_position_density(0.3, 3, SQRT_PI).values()
+        vals = realize(StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=SQRT_PI)).values()
         assert np.max(np.abs(vals - vals[::-1])) <= 1e-10
 
 
 class TestCubicDensity:
     def test_matches_closed_form(self):
-        d = cubic_momentum_density(1.0)
+        d = realize(StateSpec(kind="cubic", gamma=1.0))
         ps = d.xs()
         z = (1.0 - 4.0 * ps) / 4.0
         raw = np.exp((1.0 - ps) / 12.0) * airy(z)[0]
@@ -244,22 +266,22 @@ class TestCubicDensity:
             return -1.0 / 6.0 - 2.0 * (aip / ai)
 
         expected = brentq(dlog, 0.5, 2.0, xtol=1e-12)
-        d = cubic_momentum_density(1.0)
+        d = realize(StateSpec(kind="cubic", gamma=1.0))
         locs = global_maxima(d)
         assert len(locs) == 1
         assert abs(locs[0].a - expected) <= 2e-4
 
     def test_negative_gamma_mirrors(self):
-        plus = cubic_momentum_density(1.0)
-        minus = cubic_momentum_density(-1.0)
+        plus = realize(StateSpec(kind="cubic", gamma=1.0))
+        minus = realize(StateSpec(kind="cubic", gamma=-1.0))
         assert np.max(np.abs(plus.values() - minus.values()[::-1])) <= 1e-12
 
     def test_no_universal_squeezing(self):
-        assert asymptotic_variance(cubic_momentum_density(1.0)) >= 0.5
+        assert asymptotic_variance(realize(StateSpec(kind="cubic", gamma=1.0))) >= 0.5
 
     def test_zero_gamma_rejected(self):
         with pytest.raises(InvalidStateSpec):
-            cubic_momentum_density(0.0)
+            realize(StateSpec(kind="cubic", gamma=0.0))
 
 
 class TestRealize:
@@ -278,7 +300,7 @@ class TestRealize:
     def test_dispatch_identity(self):
         spec = StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=SQRT_PI / 4.0)
         via_spec = realize(spec)
-        direct = gkp_position_density(0.3, 3, SQRT_PI / 4.0, default_grid(spec))
+        direct = realize(spec, default_grid(spec))
         assert np.max(np.abs(via_spec.values() - direct.values())) <= 1e-12
 
     def test_ground_dispatch(self):
