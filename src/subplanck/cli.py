@@ -165,10 +165,13 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"config must name exactly one input source, got {sources}")
     try:
         state = StateSpec.from_dict(raw["state"]) if "state" in raw else None
-        pipeline = DistillConfig(**raw.get("pipeline", {}))
         model = RabiModel(**raw["rabi_model"]) if "rabi_model" in raw else None
     except (QuantifierError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
+    try:
+        pipeline = DistillConfig(**raw.get("pipeline", {}))
+    except ValueError as exc:
+        raise ConfigError(f"bad config: pipeline.{exc}") from exc
 
     grid = raw.get("grid", {})
     outputs = raw.get("outputs", {})

@@ -71,6 +71,8 @@ class GridSpec:
     nodes: int = 4096
 
     def __post_init__(self) -> None:
+        if isinstance(self.extent, bool) or not isinstance(self.extent, (int, float, np.integer)):
+            raise PreconditionError(f"extent must be a number, got {self.extent!r}")
         if not (math.isfinite(self.extent) and self.extent > 0.0):
             raise GridTooNarrow(
                 f"grid extent must be finite and positive, got {self.extent!r}"

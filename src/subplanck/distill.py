@@ -21,7 +21,6 @@ from .density import (
     from_log_values,
     global_maxima,
     log_interp,
-    log_norm,
     pow_scale,
     shift,
     variance,  # noqa: F401  (unused here; bench/spans.py wraps this name)
@@ -53,17 +52,19 @@ GROUND_VARIANCE = 0.5
 # noise sits many orders below this.
 _SQUEEZE_MARGIN = 1e-6
 
-# The ground-state filter factor exp(-(1-T) x^2) is below 3e-20 beyond this
-# many widths, so truncating there cannot bias the variance.
-_FILTER_CUT = 45.0
-
 _SQRT2 = math.sqrt(2.0)
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Bracket width at which the transmissivity search stops.
-_GOLDEN_TOL = 1e-5
 _MAX_LAYERS = 12
 _MAX_CONDITIONED_LAYERS = 4
-_TRANSMISSIVITY_POINTS = 64
+
+# Transmissivities of the filter scan: log-spaced in T, and in 1 - T for the
+# nearly transparent filters that deep pipelines favour.
+_SCAN_POINTS = np.union1d(np.geomspace(1e-4, 1.0, 64), 1.0 - np.geomspace(1e-7, 0.5, 32))
+# Rows of T exponentiated together; bounds the scan's memory at 8 x nodes.
+_SCAN_BLOCK = 8
+# Width of the final bracket on T_opt.
+_T_TOL = 1e-6
+# Nodes this many e-folds below the peak carry no weight in a filtered moment.
+_NEGLIGIBLE = 80.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,9 @@ class DistillConfig:
     single nonuniversal prelayer conditioned at ``prelayer_xbar`` may run
     first; nonzero ``conditioning_xbar`` instead threads the same offset
     through every universal layer (validation-scale runs only).  Invalid
-    settings raise ``ValueError`` when the config is built.
+    settings, ``prelayer_xbar`` without a prelayer among them, raise
+    ``ValueError`` when the config is built; each message starts with the
+    setting it names.
     """
 
     layers: int = 4
@@ -93,8 +96,10 @@ class DistillConfig:
             raise ValueError("nonuniversal_prelayers must be 0 or 1")
         if self.conditioning_xbar != 0.0 and self.layers > _MAX_CONDITIONED_LAYERS:
             raise ValueError(
-                f"conditioned universal layers are limited to {_MAX_CONDITIONED_LAYERS}"
+                f"layers are limited to {_MAX_CONDITIONED_LAYERS} with conditioning_xbar"
             )
+        if self.prelayer_xbar != 0.0 and not self.nonuniversal_prelayers:
+            raise ValueError("prelayer_xbar must be 0 without a prelayer")
 
 
 @dataclass(frozen=True)
@@ -188,103 +193,91 @@ def displace_to_origin(q: GridDensity) -> tuple[GridDensity, MaximumLocation]:
     return shift(q, -chosen.a), chosen
 
 
-def _filter_window(q: GridDensity, transmissivity: float):
-    """The filter's output grid and unnormalized log values.
+def filter_with_ground_state(q: GridDensity, transmissivity: float) -> GridDensity:
+    """Interfere with a ground-state ancilla and condition the tap on zero.
 
-    Returns ``(lo, step, xs, xs*xs, log values)`` of Q(sqrt(T) x)
-    exp(-(1-T) x^2) on a window of Q's node count.
+    Output density is proportional to Q(sqrt(T) x) exp(-(1-T) x^2), taken on
+    Q's own nodes y = sqrt(T) x, so the output grid is Q's scaled by
+    1/sqrt(T).  Below ``T = 2h^2 / (1 + 2h^2)`` (h the step of Q) the output
+    is narrower than one step and the grid no longer resolves it.
     """
     t = float(transmissivity)
     if not 0.0 < t <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
-    weight = 1.0 - t
     rt = math.sqrt(t)
-    lo = q.x_min / rt
-    hi = q.x_max / rt
-    if weight > 0.0:
-        cut = math.sqrt(_FILTER_CUT / weight)
-        lo = max(lo, -cut)
-        hi = min(hi, cut)
-    if not lo < hi:
-        raise ZeroMassCondition("filter window collapsed")
-    n = q.n_nodes
-    step = (hi - lo) / (n - 1)
-    xs = np.arange(n, dtype=float)
-    xs *= step
-    xs += lo
-    xs2 = xs * xs
-    log_new = log_interp(q, rt * xs)
-    log_new -= weight * xs2
-    if not np.isfinite(log_new).any():
-        raise ZeroMassCondition("filtered density has no mass")
-    return lo, step, xs, xs2, log_new
+    xs = q.xs() / rt
+    return from_log_values(q.x_min / rt, q.x_step / rt, q.log_p - (1.0 - t) * xs * xs)
 
 
-def filter_with_ground_state(q: GridDensity, transmissivity: float) -> GridDensity:
-    """Interfere with a ground-state ancilla and condition the tap on zero.
+def _filter_scan(q: GridDensity):
+    """The filtered variance of the recentred ``q`` as a function of an array of T.
 
-    Output density is proportional to Q(sqrt(T) x) exp(-(1-T) x^2).
+    With y = sqrt(T) x the filtered density is Q(y) exp(-(1-T) y^2 / T) on
+    Q's own nodes, and Var_x(T) = Var_y(T) / T: no regrid, no interpolation.
+    Rows of T are exponentiated in blocks of ``_SCAN_BLOCK`` and reduced to
+    three trapezoid moments.  Below the resolution floor 2h^2 / (1 + 2h^2),
+    where the filter is narrower than one step, the Gaussian limit
+    1 / (2(1-T) + kappa T) holds instead, with kappa = -(log Q)'' at x = 0.
     """
-    lo, step, _, _, log_new = _filter_window(q, transmissivity)
-    return from_log_values(lo, step, log_new)
+    h = q.x_step
+    log_p = q.log_p
+    # -(log Q)'' at the three nodes around x = 0, carried from the middle one to 0
+    j = min(max(round(-q.x_min / h), 2), q.n_nodes - 3)
+    d2 = (2.0 * log_p[j - 1 : j + 2] - log_p[j - 2 : j + 1] - log_p[j : j + 3]) / (h * h)
+    kappa = d2[1] + (d2[2] - d2[0]) * (q.x_min / h + j) / -2.0
+    floor = 2.0 * h * h / (1.0 + 2.0 * h * h)
+    w = np.full(q.n_nodes, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    # a node lies within h/2 of the maximum at 0, and above the floor
+    # (1-T)/T <= 1/(2h^2), so every row peaks within 1/8 e-fold of
+    # log_p.max() and the dropped nodes weigh below e^-79 of its peak
+    keep = log_p > log_p.max() - _NEGLIGIBLE
+    ys = q.xs()[keep]
+    log_p, w = log_p[keep], w[keep]
+    ys2 = ys * ys
+    wy, wy2 = w * ys, w * ys2
 
+    def variances(ts: np.ndarray) -> np.ndarray:
+        out = 1.0 / (2.0 * (1.0 - ts) + kappa * ts)
+        rows = np.flatnonzero(ts >= floor)
+        for start in range(0, rows.size, _SCAN_BLOCK):
+            block = rows[start : start + _SCAN_BLOCK]
+            t = ts[block]
+            a = np.multiply.outer((t - 1.0) / t, ys2)
+            a += log_p
+            a -= a.max(axis=1, keepdims=True)
+            np.exp(a, out=a)
+            m0 = a @ w
+            m1 = (a @ wy) / m0
+            out[block] = ((a @ wy2) / m0 - m1 * m1) / t
+        return out
 
-def _filtered_variance(q: GridDensity, transmissivity: float) -> float:
-    """``variance(filter_with_ground_state(q, transmissivity))``, to the bit.
-
-    The normalization and both trapezoid moments are taken on the window's
-    own arrays, with the same checks and the same operation order.
-    """
-    _, step, xs, xs2, log_p = _filter_window(q, transmissivity)
-    log_p -= log_norm(log_p, step)
-    v = np.exp(log_p, out=log_p)
-    m1 = float(np.trapezoid(xs * v, dx=step))
-    xs2 *= v
-    m2 = float(np.trapezoid(xs2, dx=step))
-    return m2 - m1 * m1
-
-
-def golden_section(f, a: float, b: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b] down to bracket width
-    ``_GOLDEN_TOL``; returns the better interior point as ``(x, f(x))``."""
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > _GOLDEN_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_PHI
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_PHI
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+    return variances
 
 
 def optimize_filter(q: GridDensity) -> tuple[float, float]:
-    """Transmissivity minimizing the filtered variance.
+    """Transmissivity minimizing the filtered variance of the recentred ``q``.
 
-    Coarse logarithmic scan over (0, 1] followed by golden-section refinement
-    of the best bracket; the endpoint T = 1 is always evaluated exactly.
-    Returns ``(T_opt, min_variance)``.
+    Scans T log-spaced over [1e-4, 1] and 1 - T log-spaced down to 1e-7, then
+    refines between the best point's neighbours with ``_SCAN_BLOCK`` evenly
+    spaced points at a time until they lie within ``_T_TOL``.  Returns
+    ``(T_opt, min_variance)``.
     """
-
-    def objective(t: float) -> float:
-        return _filtered_variance(q, t)
-
-    ts = np.geomspace(1e-4, 1.0, _TRANSMISSIVITY_POINTS)
-    vs = np.array([objective(t) for t in ts])
-    k = int(np.argmin(vs))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, ts.shape[0] - 1)]
-    best_t, best_v = golden_section(objective, float(lo), float(hi))
-    # keep exact endpoints competitive with the refined interior point
-    for t_cand, v_cand in ((float(ts[k]), float(vs[k])), (1.0, float(vs[-1]))):
-        if v_cand < best_v:
-            best_t, best_v = t_cand, v_cand
-    return best_t, best_v
+    variances = _filter_scan(q)
+    ts = _SCAN_POINTS
+    vs = variances(ts)
+    while True:
+        k = int(np.argmin(vs))
+        near = np.unique([max(k - 1, 0), k, min(k + 1, ts.size - 1)])
+        lo, hi = ts[near[0]], ts[near[-1]]
+        if hi - lo <= _T_TOL:
+            return float(ts[k]), float(vs[k])
+        inner = np.linspace(lo, hi, _SCAN_BLOCK + 2)[1:-1]
+        ts = np.concatenate((ts[near], inner))
+        vs = np.concatenate((vs[near], variances(inner)))
+        order = np.argsort(ts)
+        ts, vs = ts[order], vs[order]
 
 
 def asymptotic_variance(p: GridDensity) -> float:

@@ -24,20 +24,21 @@ from subplanck.states import StateSpec, realize
 # layers_N sweeps of a Rabi trace of Fock 1 (fitted populations) and of the
 # Fock 1 state with its asymptotic depth, as the per-point sweep wrote them.
 # The exact fit of the 9-digit trace leaves 1.05e-10 on n = 0, so the Rabi
-# table agrees with the direct Fock 1 table to ~2e-11.
+# table agrees with the direct Fock 1 table to ~2e-11.  Every min_variance of
+# the Fock 1 table equals bench/reference.py's full-line value to 12 digits.
 RABI_LAYERS_TABLE = """\
 layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,error
-1,0.337038979892,-1.71289872684,0.2500013018,0.741757828367,
-2,0.306089615943,-2.13121407882,0.2500013018,0.816758520311,
-3,0.28414868177,-2.45424358741,0.2500013018,0.879825661139,
-4,0.270006132956,-2.67596375441,0.2500013018,0.925909715691,
+1,0.337040626326,-1.71287751162,0.2500013018,0.741754204901,
+2,0.306090875129,-2.13119621293,0.2500013018,0.816755160359,
+3,0.284149765062,-2.45422703034,0.2500013018,0.879822306892,
+4,0.270007114506,-2.67594796659,0.2500013018,0.925906349755,
 """
 FOCK1_LAYERS_DEPTH_TABLE = """\
 layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,nbar_star,error
-1,0.337038979868,-1.71289872715,0.250001301787,0.741757828381,0.24951171875,
-2,0.306089615924,-2.13121407909,0.250001301787,0.816758520317,0.24951171875,
-3,0.284148681754,-2.45424358766,0.250001301787,0.879825661142,0.24951171875,
-4,0.270006132941,-2.67596375465,0.250001301787,0.925909715692,0.24951171875,
+1,0.337040626302,-1.71287751194,0.250001301787,0.741754204915,0.24951171875,
+2,0.30609087511,-2.1311962132,0.250001301787,0.816755160365,0.24951171875,
+3,0.284149765046,-2.45422703059,0.250001301787,0.879822306895,0.24951171875,
+4,0.270007114491,-2.67594796683,0.250001301787,0.925906349757,0.24951171875,
 """
 
 FOCK4_ASYMPTOTIC_DEPTH = (
@@ -46,9 +47,9 @@ FOCK4_ASYMPTOTIC_DEPTH = (
 )
 
 FOCK1_REPORT = (
-    '{"min_variance": 0.270006132941, "squeezing_db": -2.67596375465, '
-    '"T_opt": 0.850798571587, "maximum_a": 4.00001408401, '
-    '"asymptotic_variance": 0.250001301787, "efficiency": 0.925909715692, '
+    '{"min_variance": 0.270007114491, "squeezing_db": -2.67594796683, '
+    '"T_opt": 0.850827485407, "maximum_a": 4.00001408401, '
+    '"asymptotic_variance": 0.250001301787, "efficiency": 0.925906349757, '
     '"is_squeezed": true, "layers": 4, "copies": 16}\n'
 )
 
@@ -327,6 +328,15 @@ class TestConfigErrors:
         assert err.startswith("config error: bad config: ") and err.count("\n") == 1
         assert f"{field} must be finite" in err
 
+    @pytest.mark.parametrize("command", ["quantify", "oracle"])
+    def test_prelayer_xbar_needs_a_prelayer(self, tmp_path, capsys, command):
+        # nothing reads the offset without a prelayer, so it cannot be set
+        payload = {"state": {"kind": "fock", "n": 1}, "pipeline": {"layers": 1, "prelayer_xbar": 0.7}}
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, payload)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "pipeline.prelayer_xbar" in err
+
     def test_clashing_output_paths(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -404,7 +414,7 @@ class TestQuantifyCommand:
         )
         assert code == 0
         report = json.loads(out)
-        assert report["min_variance"] == pytest.approx(0.270006132941, abs=1e-3)
+        assert report["min_variance"] == pytest.approx(0.270007114491, abs=1e-3)
         assert out != FOCK1_REPORT
 
     def test_pipeline_section_controls_layers(self, tmp_path, capsys):

@@ -104,6 +104,15 @@ class TestGridSpec:
         with pytest.raises(PreconditionError, match=r"^nodes must be an integer"):
             GridSpec(10.0, nodes)
 
+    @pytest.mark.parametrize("extent", ["10", None, True, [10.0]], ids=repr)
+    def test_extent_must_be_a_number(self, extent):
+        with pytest.raises(PreconditionError, match=r"^extent must be a number"):
+            GridSpec(extent, 4096)
+
+    @pytest.mark.parametrize("extent", [10, np.float64(10.0), np.int64(10)], ids=repr)
+    def test_numeric_extent_types(self, extent):
+        assert np.array_equal(GridSpec(extent, 512).xs(), GridSpec(10.0, 512).xs())
+
     def test_numpy_integer_nodes(self):
         grid = GridSpec(10.0, np.int64(512))
         assert np.array_equal(grid.xs(), GridSpec(10.0, 512).xs())

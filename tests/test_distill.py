@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subplanck import distill
 from subplanck.density import (
@@ -13,7 +15,6 @@ from subplanck.density import (
     global_maxima,
     log_interp,
     make_grid_density,
-    shift,
     variance,
 )
 from subplanck.distill import (
@@ -38,7 +39,7 @@ from subplanck.errors import (
     ZeroMass,
     ZeroMassCondition,
 )
-from subplanck.states import StateSpec, realize
+from subplanck.states import StateSpec, default_grid, realize
 
 
 def gaussian(sigma2, mu=0.0, extent=10.0, nodes=4096):
@@ -138,7 +139,11 @@ class TestGroundStateFilter:
         assert abs(1.0 / v - (t / sigma2 + 2.0 * (1.0 - t))) <= 1e-6
 
     def test_vanishing_transmission_returns_ground(self):
-        v = variance(filter_with_ground_state(gaussian(2.0), 1e-6))
+        # at T = 1e-6 the filter is narrower than one step of the input, so
+        # the scan's Gaussian limit takes over from the resolved filter
+        v = variance(filter_with_ground_state(gaussian(2.0), 1e-3))
+        assert abs(v - GROUND_VARIANCE) <= 1e-3
+        v = distill._filter_scan(gaussian(2.0))(np.array([1e-6]))[0]
         assert abs(v - GROUND_VARIANCE) <= 1e-3
 
     @pytest.mark.parametrize("t", [0.0, -0.1, 1.01])
@@ -203,9 +208,10 @@ class TestQuantify:
         assert report.copies == 16
         assert report.is_squeezed
         assert report.maximum.a == pytest.approx(4.0, abs=1e-3)
-        assert report.min_variance == pytest.approx(0.270006132941, rel=1e-9)
+        # bench/reference.py's full-line pipeline gives 0.270007114491
+        assert report.min_variance == pytest.approx(0.270007114491, rel=1e-9)
         assert report.asymptotic_variance == pytest.approx(0.250001301787, rel=1e-9)
-        assert report.efficiency == pytest.approx(0.925909715692, rel=1e-9)
+        assert report.efficiency == pytest.approx(0.925906349757, rel=1e-9)
         assert report.squeezing_db == pytest.approx(
             10.0 * math.log10(report.min_variance / GROUND_VARIANCE), abs=1e-12
         )
@@ -242,6 +248,7 @@ class TestQuantify:
             dict(layers=True),
             dict(nonuniversal_prelayers=0.5),
             dict(nonuniversal_prelayers=False),
+            dict(prelayer_xbar=0.7),
         ],
     )
     def test_config_validation(self, cfg):
@@ -250,31 +257,214 @@ class TestQuantify:
             DistillConfig(**cfg)
 
     def test_filter_runs_only_inside_optimize_filter(self, monkeypatch):
-        # the scan's kernel serves both the filter and the scan's objective,
-        # so quantify may call it only through optimize_filter
+        # quantify builds the scan kernel once, inside optimize_filter, and
+        # never filters a density on the side
         calls = []
-        original = distill._filter_window
+        for name in ("_filter_scan", "filter_with_ground_state"):
+            original = getattr(distill, name)
 
-        def counting(q, transmissivity):
-            calls.append(transmissivity)
-            return original(q, transmissivity)
+            def counting(q, *args, name=name, original=original):
+                calls.append(name)
+                return original(q, *args)
 
-        monkeypatch.setattr(distill, "_filter_window", counting)
+            monkeypatch.setattr(distill, name, counting)
         p = realize(StateSpec(kind="fock", n=1))
         quantify(p, DistillConfig(layers=2))
-        in_quantify = len(calls)
+        assert calls == ["_filter_scan"]
         calls.clear()
         recentered, _ = displace_to_origin(universal_distill(p, 2))
         optimize_filter(recentered)
-        assert in_quantify > 0
-        assert in_quantify == len(calls)
+        assert calls == ["_filter_scan"]
 
 
-# --- the filter scan, bit for bit ---------------------------------------------
+# --- the filter scan against independent values ------------------------------
+
+FOUND_MIXTURE = StateSpec(
+    kind="mixture",
+    populations=(0.20033769881242364, 0.06908975105896357, 0.06696699287676419, 0.6636055572518486),
+    thermal_nbar=0.12761897996665642,
+)
+GKP_COMB = StateSpec(kind="gkp", delta=0.3, side_peaks=2, spacing=math.sqrt(math.pi))
+
+# (state, layers, min_variance, T_opt) from bench/reference.py's ``distill``:
+# the same pipeline on the analytic density over the whole line, in numpy and
+# scipy alone, so nothing here comes from the program itself.
+FULL_LINE = [
+    (StateSpec(kind="fock", n=1), 4, 0.270007114490638, 0.8508272430029374),
+    (StateSpec(kind="fock", n=1), 10, 0.25057100973992125, 0.9954417707183711),
+    (StateSpec(kind="fock", n=1), 12, 0.2501639279831752, 0.9986893959886238),
+    (StateSpec(kind="fock", n=4), 4, 0.17086975292147327, 0.9165879277808796),
+    (StateSpec(kind="fock", n=4), 10, 0.15858280154486773, 0.9990654257400996),
+    (StateSpec(kind="fock", n=4), 12, 0.15851562342558861, 0.9997372972084645),
+    (GKP_COMB, 2, 0.05177018285979546, 0.8717875579797584),
+    (GKP_COMB, 8, 0.04499999999999999, 1.0),
+    (FOUND_MIXTURE, 4, 0.5000060969870738, 1e-4),
+    (FOUND_MIXTURE, 6, 0.5000060961066795, 1e-4),
+]
+
+
+def cat_two_layer_variance(alpha):
+    """Closed form for the even cat at two layers, where T_opt = 1.
+
+    Four copies of exp(-p^2) cos^2(alpha p) power to exp(-x^2) cos^8(alpha x / 2),
+    and cos^8 is a cosine series with weights (35, 56, 28, 8, 1) / 128 at
+    frequencies k alpha, so both moments are sums of Gaussian integrals.
+    """
+    b = alpha * np.arange(5)
+    w = np.array([35.0, 56.0, 28.0, 8.0, 1.0]) * np.exp(-b * b / 4.0)
+    return float(w @ (0.5 - b * b / 4.0) / w.sum())
+
+
+class TestFilterScan:
+    @pytest.mark.parametrize("layers", range(13))
+    def test_ground_state_gives_half(self, layers):
+        report = quantify(realize(StateSpec(kind="fock", n=0)), DistillConfig(layers=layers))
+        assert abs(report.min_variance - GROUND_VARIANCE) <= 1e-9
+        assert not report.is_squeezed
+
+    def test_cat_at_two_layers_beats_its_limit(self):
+        report = quantify(realize(StateSpec(kind="cat", alpha=2.0)), DistillConfig(layers=2))
+        assert report.T_opt == 1.0
+        assert report.min_variance == pytest.approx(cat_two_layer_variance(2.0), abs=1e-12)
+        assert report.min_variance == pytest.approx(0.09616, abs=5e-6)
+        assert report.min_variance < report.asymptotic_variance
+
+    @pytest.mark.parametrize(
+        "spec,layers,min_variance,t_opt",
+        FULL_LINE,
+        ids=[f"{spec.kind}{spec.n or ''}-{layers}" for spec, layers, _, _ in FULL_LINE],
+    )
+    def test_matches_full_line_reference(self, spec, layers, min_variance, t_opt):
+        report = quantify(realize(spec), DistillConfig(layers=layers))
+        assert abs(report.min_variance - min_variance) <= 1e-7
+        assert abs(report.T_opt - t_opt) <= 1e-5
+        assert report.is_squeezed == (min_variance < GROUND_VARIANCE - 1e-6)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            pytest.param(gaussian(2.0), id="wide-gaussian"),
+            pytest.param(gaussian(0.3, nodes=1024), id="squeezed-gaussian"),
+            pytest.param(realize(StateSpec(kind="fock", n=1)), id="fock1-0"),
+            pytest.param(universal_distill(realize(FOUND_MIXTURE), 4), id="found-mixture-4"),
+            pytest.param(universal_distill(realize(StateSpec(kind="cat", alpha=2.0)), 6), id="cat-6"),
+        ],
+    )
+    def test_closed_form_meets_scan_at_floor(self, q):
+        # at the floor the filter's width is one step: the trapezoid moments
+        # err by up to 2 (2 pi)^2 exp(-2 pi^2) = 2e-7 (relative) and the
+        # Gaussian limit by a few 1e-7 on a narrow peak, both well inside the
+        # 1e-6 margin that decides is_squeezed
+        q, _ = displace_to_origin(q)
+        h = q.x_step
+        floor = 2.0 * h * h / (1.0 + 2.0 * h * h)
+        below, at = distill._filter_scan(q)(np.array([floor * (1.0 - 1e-12), floor]))
+        assert abs(below - at) <= 1e-6
+
+    @pytest.mark.parametrize("t", [1e-2, 0.3, 0.9, 1.0])
+    def test_filter_density_matches_scan(self, t):
+        q, _ = displace_to_origin(universal_distill(realize(StateSpec(kind="fock", n=2)), 3))
+        v = distill._filter_scan(q)(np.array([t]))[0]
+        assert variance(filter_with_ground_state(q, t)) == pytest.approx(v, rel=1e-10)
+
+
+# --- convergence properties ----------------------------------------------------
+
+CONVERGENCE = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def catalog_specs():
+    return st.one_of(
+        st.builds(
+            StateSpec,
+            kind=st.just("fock"),
+            n=st.integers(0, 10),
+            thermal_nbar=st.sampled_from([0.0, 0.05, 0.1]),
+        ),
+        st.builds(StateSpec, kind=st.just("cat"), alpha=st.floats(1.0, 3.0)),
+        st.builds(
+            StateSpec,
+            kind=st.just("gkp"),
+            delta=st.floats(0.25, 0.4),
+            side_peaks=st.integers(1, 3),
+            spacing=st.just(math.sqrt(math.pi)),
+        ),
+    )
+
+
+# analytic densities, so a shift moves the grid against the peak
+SHIFTABLE = {
+    "fock1": lambda x: x * x * np.exp(-x * x),
+    "fock2": lambda x: (2.0 * x * x - 1.0) ** 2 * np.exp(-x * x),
+    "fock3": lambda x: (2.0 * x**3 - 3.0 * x) ** 2 * np.exp(-x * x),
+    "cat2": lambda x: np.exp(-x * x) * np.cos(2.0 * x) ** 2,
+}
+
+
+class TestConvergence:
+    @CONVERGENCE
+    @given(offset=st.floats(-2.0, 2.0), layers=st.integers(0, 8))
+    def test_ground_state_is_a_fixed_point(self, offset, layers):
+        # off centre the grid can put the optimum just above the resolution
+        # floor, where the trapezoid's moments err by about
+        # 2 (2 pi)^2 exp(-2 pi^2) = 2.1e-7 (relative)
+        xs = default_grid(StateSpec(kind="fock", n=0)).xs()
+        p = make_grid_density(xs, np.exp(-((xs - offset) ** 2)))
+        report = quantify(p, DistillConfig(layers=layers))
+        assert abs(report.min_variance - GROUND_VARIANCE) <= 2.5e-7
+        assert not report.is_squeezed
+
+    @CONVERGENCE
+    @given(
+        name=st.sampled_from(sorted(SHIFTABLE)),
+        offset=st.floats(-2.0, 2.0),
+        layers=st.integers(0, 8),
+    )
+    def test_shift_leaves_min_variance_unchanged(self, name, offset, layers):
+        # the grid samples the shifted density at other points of its peak
+        xs = GridSpec(12.0).xs()
+        f = SHIFTABLE[name]
+        cfg = DistillConfig(layers=layers)
+        base = quantify(make_grid_density(xs, f(xs)), cfg).min_variance
+        moved = quantify(make_grid_density(xs, f(xs - offset)), cfg).min_variance
+        assert abs(moved - base) <= 1e-6
+
+    @CONVERGENCE
+    @given(
+        components=st.lists(
+            st.tuples(st.floats(0.05, 1.0), st.floats(-3.0, 3.0), st.floats(0.5, 2.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        layers=st.integers(0, 8),
+    )
+    def test_mixtures_of_unsqueezed_gaussians_never_squeeze(self, components, layers):
+        # each component's log density has curvature >= -2, and so have the
+        # powered and the filtered density; Cramer-Rao then bounds the
+        # variance below by 1/2
+        xs = GridSpec(15.0).xs()
+        ps = sum(
+            w * np.exp(-((xs - mu) ** 2) / (2.0 * var)) / math.sqrt(var)
+            for w, mu, var in components
+        )
+        report = quantify(make_grid_density(xs, ps), DistillConfig(layers=layers))
+        assert not report.is_squeezed
+
+    @CONVERGENCE
+    @given(spec=catalog_specs(), layers=st.integers(0, 8))
+    def test_doubling_the_nodes_barely_moves_min_variance(self, spec, layers):
+        grid = default_grid(spec)
+        cfg = DistillConfig(layers=layers)
+        coarse = quantify(realize(spec, grid), cfg).min_variance
+        fine = quantify(realize(spec, GridSpec(grid.extent, 2 * grid.nodes)), cfg).min_variance
+        assert abs(fine - coarse) <= 2e-6
+
+
+# --- log_interp and the normalization, bit for bit --------------------------------
 #
-# References: the filter as a regrid through ``log_interp`` plus a
-# ``GridDensity`` from ``from_log_values``, and the scan as a loop of
-# ``variance(filter)``; the fused kernel must give the same bytes.
+# References: the boolean compress-and-scatter interpolation and the
+# normalization that ``log_interp`` and ``from_log_values`` replaced; the
+# conditioned layers, which interpolate, must give the same bytes.
 
 
 def reference_log_interp(d, xq):
@@ -327,50 +517,6 @@ def reference_from_log_values(x_min, x_step, log_p):
     return GridDensity(float(x_min), float(x_step), log_p, norm)
 
 
-def reference_filter(q, transmissivity):
-    t = float(transmissivity)
-    if not 0.0 < t <= 1.0:
-        raise ValueError("transmissivity must lie in (0, 1]")
-    weight = 1.0 - t
-    rt = math.sqrt(t)
-    lo = q.x_min / rt
-    hi = q.x_max / rt
-    if weight > 0.0:
-        cut = math.sqrt(45.0 / weight)
-        lo = max(lo, -cut)
-        hi = min(hi, cut)
-    if not lo < hi:
-        raise ZeroMassCondition("filter window collapsed")
-    n = q.n_nodes
-    step = (hi - lo) / (n - 1)
-    xs = lo + step * np.arange(n)
-    log_new = reference_log_interp(q, rt * xs) - weight * xs**2
-    if not np.isfinite(log_new).any():
-        raise ZeroMassCondition("filtered density has no mass")
-    return reference_from_log_values(lo, step, log_new)
-
-
-def reference_optimize_filter(q, visited):
-    """The scan as a loop of variance(filter); records each filter it makes."""
-
-    def objective(t):
-        f = reference_filter(q, t)
-        v = variance(f)
-        visited[float(t)] = (f, v)
-        return v
-
-    ts = np.geomspace(1e-4, 1.0, 64)
-    vs = np.array([objective(t) for t in ts])
-    k = int(np.argmin(vs))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, ts.shape[0] - 1)]
-    best_t, best_v = distill.golden_section(objective, float(lo), float(hi))
-    for t_cand, v_cand in ((float(ts[k]), float(vs[k])), (1.0, float(vs[-1]))):
-        if v_cand < best_v:
-            best_t, best_v = t_cand, v_cand
-    return best_t, best_v
-
-
 def bits(x):
     return type(x), np.float64(x).tobytes()
 
@@ -392,34 +538,23 @@ def outcome(fn, *args):
     return bits(result)
 
 
-FOUND_MIXTURE = StateSpec(
-    kind="mixture",
-    populations=(0.20033769881242364, 0.06908975105896357, 0.06696699287676419, 0.6636055572518486),
-    thermal_nbar=0.12761897996665642,
-)
-
-# name -> (state, grid, prelayer conditioning offset or None)
-SCAN_INPUTS = {
-    **{f"fock{n}": (StateSpec(kind="fock", n=n), None, None) for n in range(11)},
+# name -> (state, prelayer conditioning offset or None)
+INTERP_INPUTS = {
+    "fock3": (StateSpec(kind="fock", n=3), None),
+    "fock4": (StateSpec(kind="fock", n=4), None),
     # thermal blurring leaves exact zeros (-inf) scattered through the tails
-    **{
-        f"thermal-fock{n}": (StateSpec(kind="fock", n=n, thermal_nbar=0.1), None, None)
-        for n in (1, 4, 7)
-    },
-    "cat": (StateSpec(kind="cat", alpha=2.0), None, None),
-    "gkp": (StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=math.sqrt(math.pi)), None, None),
-    "cubic-prelayer": (StateSpec(kind="cubic", gamma=1.0), None, 5.0),
-    "found-mixture": (FOUND_MIXTURE, None, None),
-    **{
-        f"fock2-{nodes}": (StateSpec(kind="fock", n=2), GridSpec(12.0, nodes), None)
-        for nodes in (4999, 5501, 6007)
-    },
+    "thermal-fock1": (StateSpec(kind="fock", n=1, thermal_nbar=0.1), None),
+    "thermal-fock4": (StateSpec(kind="fock", n=4, thermal_nbar=0.1), None),
+    "cat": (StateSpec(kind="cat", alpha=2.0), None),
+    "gkp": (StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=math.sqrt(math.pi)), None),
+    "cubic-prelayer": (StateSpec(kind="cubic", gamma=1.0), 5.0),
+    "found-mixture": (FOUND_MIXTURE, None),
 }
 
 
-def scan_input(name):
-    spec, grid, prelayer_xbar = SCAN_INPUTS[name]
-    p = realize(spec, grid)
+def interp_input(name):
+    spec, prelayer_xbar = INTERP_INPUTS[name]
+    p = realize(spec)
     return p if prelayer_xbar is None else nonuniversal_layer(p, prelayer_xbar)
 
 
@@ -430,60 +565,8 @@ def shaped_density(log_p, extent=10.0):
     return GridDensity(-extent, step, log_p, 0.0)
 
 
-class TestFilterScanBitExact:
-    """The fused filter kernel and log_interp keep the reference bytes."""
-
-    @pytest.mark.parametrize("name", list(SCAN_INPUTS))
-    def test_scan_matches_reference(self, name):
-        p = scan_input(name)
-        for layers in range(9):
-            q, _ = displace_to_origin(universal_distill(p, layers))
-            visited = {}
-            expected = reference_optimize_filter(q, visited)
-            assert len(visited) > 64  # the scan plus golden-section points
-            got = optimize_filter(q)
-            assert (bits(got[0]), bits(got[1])) == (bits(expected[0]), bits(expected[1]))
-            for t in (1e-7, 1.0):
-                if t not in visited:
-                    f = reference_filter(q, t)
-                    visited[t] = (f, variance(f))
-            for t, (ref, ref_var) in visited.items():
-                assert density_bytes(filter_with_ground_state(q, t)) == density_bytes(ref)
-                assert bits(distill._filtered_variance(q, t)) == bits(ref_var)
-
-    @pytest.mark.parametrize(
-        "q,t",
-        [
-            pytest.param(
-                shift(realize(StateSpec(kind="fock", n=1)), 100.0), 1e-4, id="collapsed-window"
-            ),
-            pytest.param(
-                make_grid_density(GridSpec(10.0).xs(), np.r_[np.zeros(4086), np.ones(10)]),
-                1e-4,
-                id="no-mass",
-            ),
-            pytest.param(
-                shaped_density(np.r_[np.zeros(2000), np.full(96, math.inf), np.zeros(2000)]),
-                1.0,
-                id="positive-inf",
-            ),
-            pytest.param(
-                shaped_density(np.r_[np.zeros(2000), np.full(96, math.nan), np.zeros(2000)]),
-                0.5,
-                id="nan-nodes",
-            ),
-            pytest.param(realize(StateSpec(kind="fock", n=1)), 0.0, id="zero-transmissivity"),
-        ],
-    )
-    def test_failures_match_reference(self, q, t):
-        expected = outcome(reference_filter, q, t)
-        assert outcome(filter_with_ground_state, q, t) == expected
-        if isinstance(expected[0], type):
-            assert outcome(distill._filtered_variance, q, t) == expected
-        else:
-            assert outcome(distill._filtered_variance, q, t) == outcome(
-                variance, reference_filter(q, t)
-            )
+class TestLogInterpBitExact:
+    """log_interp and from_log_values keep the reference bytes."""
 
     @pytest.mark.parametrize(
         "log_p,step",
@@ -507,7 +590,7 @@ class TestFilterScanBitExact:
 
     @pytest.mark.parametrize("name", ["fock4", "thermal-fock4", "found-mixture"])
     def test_log_interp_matches_reference(self, name):
-        d = scan_input(name)
+        d = interp_input(name)
         xs = d.xs()
         rng = np.random.default_rng(7)
         wide = np.linspace(d.x_min - 3.0, d.x_max + 3.0, 5001)
@@ -539,7 +622,7 @@ class TestFilterScanBitExact:
 
     @pytest.mark.parametrize("name", ["fock3", "thermal-fock1", "cat", "gkp", "cubic-prelayer"])
     def test_conditioned_layers_match_reference(self, name, monkeypatch):
-        p = scan_input(name)
+        p = interp_input(name)
         calls = [
             (nonuniversal_layer, 0.0),
             (nonuniversal_layer, 0.4),
