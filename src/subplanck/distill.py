@@ -28,6 +28,7 @@ from .density import (
 from .errors import (
     FlatMaximum,
     NonPositiveVariance,
+    PreconditionError,
     ZeroMassCondition,
 )
 
@@ -198,15 +199,40 @@ def filter_with_ground_state(q: GridDensity, transmissivity: float) -> GridDensi
 
     Output density is proportional to Q(sqrt(T) x) exp(-(1-T) x^2), taken on
     Q's own nodes y = sqrt(T) x, so the output grid is Q's scaled by
-    1/sqrt(T).  Below ``T = 2h^2 / (1 + 2h^2)`` (h the step of Q) the output
-    is narrower than one step and the grid no longer resolves it.
+    1/sqrt(T).  Below the resolution floor (see :func:`_peak_model`) that
+    grid cannot resolve the output, which is then the Gaussian of log Q's
+    Taylor expansion at 0, on ``n_nodes`` nodes over +-12 standard deviations.
     """
     t = float(transmissivity)
     if not 0.0 < t <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
     rt = math.sqrt(t)
-    xs = q.xs() / rt
-    return from_log_values(q.x_min / rt, q.x_step / rt, q.log_p - (1.0 - t) * xs * xs)
+    floor, slope, kappa = _peak_model(q)
+    if t >= floor:
+        xs = q.xs() / rt
+        return from_log_values(q.x_min / rt, q.x_step / rt, q.log_p - (1.0 - t) * xs * xs)
+    a = 2.0 * (1.0 - t) + kappa * t
+    if not (math.isfinite(slope) and 0.0 < a < math.inf):
+        raise PreconditionError(
+            f"log density must be finite and concave around x = 0 to filter below T = {floor!r}"
+        )
+    xs = (slope * rt + math.sqrt(a) * np.linspace(-12.0, 12.0, q.n_nodes)) / a
+    return from_log_values(xs[0], xs[1] - xs[0], xs * (slope * rt - 0.5 * a * xs))
+
+
+def _peak_model(q: GridDensity) -> tuple[float, float, float]:
+    """The filter's resolution floor 2h^2 / (1 + 2h^2) on ``q``, below which
+    it is narrower than one step, and log Q's slope and curvature
+    -(log Q)'' at x = 0, carried there from the middle one of the five nodes
+    around it (not finite where one of those is an exact zero)."""
+    h = q.x_step
+    j = min(max(round(-q.x_min / h), 2), q.n_nodes - 3)
+    lp, u = q.log_p[j - 2 : j + 3], q.x_min / h + j
+    with np.errstate(invalid="ignore"):
+        d2 = (2.0 * lp[1:4] - lp[:3] - lp[2:]) / (h * h)
+        slope = (lp[3] - lp[1]) / (2.0 * h) + d2[1] * u * h
+        kappa = d2[1] - (d2[2] - d2[0]) * u / 2.0
+    return 2.0 * h * h / (1.0 + 2.0 * h * h), float(slope), float(kappa)
 
 
 def _filter_scan(q: GridDensity):
@@ -217,16 +243,13 @@ def _filter_scan(q: GridDensity):
     Rows of T are exponentiated in blocks of ``_SCAN_BLOCK`` and reduced to
     three trapezoid moments.  Below the resolution floor 2h^2 / (1 + 2h^2),
     where the filter is narrower than one step, the Gaussian limit
-    1 / (2(1-T) + kappa T) holds instead, with kappa = -(log Q)'' at x = 0.
+    1 / (2(1-T) + kappa T) holds instead, with kappa = -(log Q)'' at x = 0;
+    where that is not finite and positive (an exact zero near the peak),
+    those rows read +inf, so the optimum is a resolved filter.
     """
-    h = q.x_step
+    floor, _, kappa = _peak_model(q)
     log_p = q.log_p
-    # -(log Q)'' at the three nodes around x = 0, carried from the middle one to 0
-    j = min(max(round(-q.x_min / h), 2), q.n_nodes - 3)
-    d2 = (2.0 * log_p[j - 1 : j + 2] - log_p[j - 2 : j + 1] - log_p[j : j + 3]) / (h * h)
-    kappa = d2[1] + (d2[2] - d2[0]) * (q.x_min / h + j) / -2.0
-    floor = 2.0 * h * h / (1.0 + 2.0 * h * h)
-    w = np.full(q.n_nodes, h)
+    w = np.full(q.n_nodes, q.x_step)
     w[0] *= 0.5
     w[-1] *= 0.5
     # a node lies within h/2 of the maximum at 0, and above the floor
@@ -239,7 +262,9 @@ def _filter_scan(q: GridDensity):
     wy, wy2 = w * ys, w * ys2
 
     def variances(ts: np.ndarray) -> np.ndarray:
-        out = 1.0 / (2.0 * (1.0 - ts) + kappa * ts)
+        precision = 2.0 * (1.0 - ts) + kappa * ts
+        limit = (precision > 0.0) & (precision < math.inf)
+        out = np.divide(1.0, precision, out=np.full(ts.shape, math.inf), where=limit)
         rows = np.flatnonzero(ts >= floor)
         for start in range(0, rows.size, _SCAN_BLOCK):
             block = rows[start : start + _SCAN_BLOCK]
