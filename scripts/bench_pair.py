@@ -14,7 +14,7 @@ after every pair: every run, each side's median and quartiles per metric,
 how many pairs the change won per metric, each end-to-end metric's verdict
 (``gain``, ``worse``, ``unresolved`` or ``within_bound``, see ``verdict``),
 each side's failed and attempted operations with whether the change's failed
-share is higher, and the core count.
+share, averaged over pairs, is higher, and the core count.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT = 900
@@ -126,9 +127,13 @@ def summarize(runs: list[dict], declared: dict[str, dict]) -> dict:
                "all_correct": all(r["correct"] for r in rs)}
         for side, rs in sides.items()
     }
-    # compared as fractions by cross-multiplying, so equal shares stay equal
-    p, c = failures["parent"], failures["change"]
-    failures["failed_share_higher"] = c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
+    # the mean over pairs of each run's own share (both sides run every pair,
+    # so the sums compare as the means): pooled counts would charge a faster
+    # side for the extra rounds it runs of a seed that fails on both sides;
+    # exact fractions, so equal shares stay equal
+    share = {side: sum(Fraction(r["failed"], r["attempted"] or 1) for r in rs)
+             for side, rs in sides.items()}
+    failures["failed_share_higher"] = share["change"] > share["parent"]
     return {"metrics": summary, "operations": failures}
 
 

@@ -2,9 +2,12 @@
 
 The deterministic pipeline computes conditioned densities directly; this
 module actually runs the protocol on random samples, so the two routes check
-each other.  Each layer mixes sample pairs on a balanced beamsplitter, keeps
-the sum port, and postselects the difference port inside a finite window
-around the conditioning value.  Exact-point conditioning has probability
+each other.  Samples are drawn by inverse transform on the trapezoid CDF;
+each layer mixes sample pairs on a balanced beamsplitter, keeps the sum port,
+and postselects the difference port inside a finite window around the
+conditioning value.  The first layer's postselection is decided on the
+guide-table cells of the input pairs where it can be, and only the pairs
+that may pass are drawn exactly.  Exact-point conditioning has probability
 zero, so the window width ``eps`` is the price of a physical realization and
 its bias is what the comparison measures.
 """
@@ -89,12 +92,18 @@ class _InverseCdf:
     tail steps) are flagged and searched.  The value then follows numpy's own
     formula, its ``u == cdf[j]`` case and its NaN fallback, so the result
     equals ``np.interp`` bit for bit.
+
+    Every draw in cell c lands in ``[xs[guide[c]], xs[guide[c + 1] + 1]]``;
+    ``_mid`` holds its midpoint, NaN where it spans over two steps (as every
+    flagged cell does), so on a uniform grid a draw is within a step of it.
     """
 
     def __init__(self, xs: np.ndarray, cdf: np.ndarray) -> None:
         cells = 1 << (_CELLS_PER_NODE * cdf.size - 1).bit_length()
         edges = np.arange(cells + 1) / cells
-        guide = np.searchsorted(cdf, edges[:-1], side="right") - 1
+        bounds = np.searchsorted(cdf, edges, side="right") - 1
+        guide = bounds[:-1]
+        right = np.minimum(bounds[1:] + 1, cdf.size - 1)
         padded = np.concatenate((cdf, [np.inf, np.inf]))
         self._cells = cells
         self._guide = guide
@@ -105,6 +114,8 @@ class _InverseCdf:
         # zero-width steps give infinite slopes, which no draw selects
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             self._slope = np.diff(xs) / np.diff(cdf)
+            mid = 0.5 * (xs[guide] + xs[right])
+        self._mid = np.where((right - guide <= 2) & np.isfinite(mid), mid, np.nan)
 
     def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """The transform of ``rng.random(count)``, drawn in fixed chunks.
@@ -117,6 +128,20 @@ class _InverseCdf:
             part = out[lo : lo + _CHUNK]
             part[:] = self._draw(rng.random(part.size))
         return out
+
+    def near_pairs(
+        self, rng: np.random.Generator, count: int, shift: float, reach: float
+    ) -> np.ndarray:
+        """Exact draws of the pairs ``(2i, 2i + 1)`` of ``rng.random(count)``
+        whose cell midpoints differ from ``shift`` by at most ``reach`` (NaN
+        counts as near), read in the even-sized chunks of ``__call__``."""
+        picked = []
+        for lo in range(0, count, _CHUNK):
+            u = rng.random(min(_CHUNK, count - lo))
+            pairs = u[: u.size & ~1].reshape(-1, 2)
+            m = self._mid[(pairs * self._cells).astype(np.intp)]
+            picked.append(pairs[~(np.abs(m[:, 0] - m[:, 1] - shift) > reach)])
+        return self._draw(np.concatenate(picked).ravel())
 
     def _draw(self, u: np.ndarray) -> np.ndarray:
         """``np.interp(u, cdf, xs)`` for u in [0, 1)."""
@@ -178,9 +203,14 @@ def simulate_protocol(
     population interfere at once.  Survival of each pair is independent of
     every other pair, so pooling leaves both the output distribution and the
     expected acceptance rate identical to attempt-by-attempt simulation while
-    the batch runs as a handful of array operations.  Batches derive
-    independent streams from (seed, batch index), making serial and parallel
-    execution agree sample for sample.
+    the batch runs as a handful of array operations.  Batch ``index`` draws
+    ``batch_size`` uniforms from its own ``(seed, index)`` stream.
+
+    The first layer is squeezed: a pair whose guide-table cell midpoints
+    differ from ``sqrt(2) * xbar`` by more than ``sqrt(2) * eps`` plus two
+    grid steps, and a relative allowance for rounding, cannot pass the window
+    and is never interpolated.  The samples, counts and errors equal those of
+    drawing the whole batch, bit for bit.
     """
     if not 1 <= layers <= MAX_PROTOCOL_LAYERS:
         raise PreconditionError(
@@ -192,12 +222,15 @@ def simulate_protocol(
         raise PreconditionError("need at least one batch of 2^layers samples")
     _check_seed(seed)
     draw = _InverseCdf(*_cdf_nodes(p))
+    shift = _SQRT2 * xbar
+    reach = _SQRT2 * eps + 2.0 * p.x_step
+    reach += 1e-9 * (reach + abs(shift) + 2.0 * max(abs(p.x_min), abs(p.x_max)))
     per_attempt = 1 << layers
     kept: list[np.ndarray] = []
     attempted = 0
     for index in range(batches):
         rng = np.random.default_rng([seed, index])
-        pool = draw(rng, batch_size)
+        pool = draw.near_pairs(rng, batch_size, shift, reach)
         attempted += batch_size // per_attempt
         for _ in range(layers):
             if pool.size < 2:

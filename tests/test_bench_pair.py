@@ -113,6 +113,18 @@ def test_failed_share_higher(failed, attempted, higher):
     assert ops["failed_share_higher"] is higher
 
 
+def test_failed_share_is_averaged_over_pairs():
+    # one seed fails 1 of the 19 operations of each round on both sides; the
+    # change runs more rounds of it, so only its pooled share is higher
+    runs = runs_from(PARENT, PARENT, failed=(0, 0), attempted=(57, 57))
+    runs[0].update(failed=3, attempted=57)
+    runs[1].update(failed=4, attempted=76)
+    ops = bench_pair.summarize(runs, DECLARED)["operations"]
+    p, c = ops["parent"], ops["change"]
+    assert c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
+    assert ops["failed_share_higher"] is False
+
+
 @pytest.mark.parametrize(
     "values,expected",
     [([3.0], (3.0, 3.0, 3.0)), ([1.0, 2.0, 3.0, 4.0, 5.0], (2.0, 3.0, 4.0))],

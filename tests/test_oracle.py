@@ -62,6 +62,36 @@ def assert_matches_interp(xs, cdf, u):
     assert_same_bytes(_InverseCdf(xs, cdf)._draw(u), np.interp(u, cdf, xs))
 
 
+def pooled_reference(pools, layers, xbar, eps):
+    """The protocol with no squeeze on whole-batch draws ``pools``: pool each
+    layer; returns (samples bytes, accepted, attempted) or the error's type."""
+    kept = []
+    for pool in pools:
+        for _ in range(layers):
+            if pool.size < 2:
+                pool = pool[:0]
+                break
+            if pool.size % 2:
+                pool = pool[:-1]
+            a = pool[0::2]
+            b = pool[1::2]
+            keep = np.abs((a - b) / math.sqrt(2.0) - xbar) <= eps
+            pool = ((a + b) / math.sqrt(2.0))[keep]
+        kept.append(pool)
+    samples = np.concatenate(kept)
+    if samples.size == 0:
+        return NoAcceptedSamples
+    return samples.tobytes(), samples.size, sum(pool.size >> layers for pool in pools)
+
+
+def squeezed(p, layers, xbar, eps, seed, batch_size):
+    try:
+        run = simulate_protocol(p, layers, xbar, eps, 2, seed, batch_size)
+    except NoAcceptedSamples:
+        return NoAcceptedSamples
+    return run.samples_out.tobytes(), run.accepted, run.attempted
+
+
 class TestInverseCdfBitExact:
     """The guide-table draw returns ``np.interp(u, cdf, xs)`` to the bit."""
 
@@ -120,6 +150,31 @@ class TestInverseCdfBitExact:
         xs = np.array([0.0, 1.0, 2.0])
         cdf = np.array([0.0, tiny, 1.0])
         assert_matches_interp(xs, cdf, np.array([0.0, tiny, 0.5]))
+
+
+class TestCellMidpoints:
+    """Each guide-table cell's finite midpoint lies within one grid step of
+    every draw in the cell, which is the bound the protocol's squeeze uses."""
+
+    @pytest.mark.parametrize("name", list(INVERSE_CDF_DENSITIES))
+    def test_draws_lie_within_a_step_of_the_midpoint(self, name):
+        p = INVERSE_CDF_DENSITIES[name]()
+        xs, cdf = _cdf_nodes(p)
+        draw = _InverseCdf(xs, cdf)
+        assert np.isnan(draw._mid[draw._wide]).all()
+        assert np.isfinite(draw._mid).mean() > 0.99
+        k = np.arange(draw._cells)
+        u = np.concatenate((
+            [0.0],
+            cdf[cdf < 1.0],
+            k / draw._cells,
+            np.nextafter((k + 1) / draw._cells, 0.0),
+            np.random.default_rng([23, len(name)]).random(1 << 16),
+        ))
+        mid = draw._mid[(u * draw._cells).astype(np.intp)]
+        finite = np.isfinite(mid)
+        reach = p.x_step + 1e-9 * max(abs(p.x_min), abs(p.x_max))
+        assert np.all(np.abs(draw._draw(u[finite]) - mid[finite]) <= reach)
 
 
 class TestSampleDensity:
@@ -228,6 +283,23 @@ class TestSimulateProtocol:
         assert run.attempted == 2 * ((1 << 17) // 4)
         assert 0 < run.accepted <= run.attempted
         assert run.acceptance_rate == run.accepted / run.attempted
+
+    @pytest.mark.parametrize("name", list(INVERSE_CDF_DENSITIES))
+    def test_squeeze_keeps_every_sample(self, name):
+        # the first layer, decided on cell midpoints where it can be, gives
+        # the bytes, counts and errors of drawing both batches whole
+        p = INVERSE_CDF_DENSITIES[name]()
+        draw = _InverseCdf(*_cdf_nodes(p))
+        for layers in range(1, MAX_PROTOCOL_LAYERS + 1):
+            for size in (1 << layers, _CHUNK - 1, _CHUNK + 1, 5001, 1 << 17):
+                pools = [draw(np.random.default_rng([size, i]), size) for i in range(2)]
+                for xbar in (0.0, 0.7, -1.3):
+                    assert squeezed(p, layers, xbar, 0.05, size, size) == pooled_reference(
+                        pools, layers, xbar, 0.05
+                    ), (layers, size, xbar)
+        pools = [draw(np.random.default_rng([0, i]), 5001) for i in range(2)]
+        assert pooled_reference(pools, 1, 30.0, 0.05) is NoAcceptedSamples
+        assert squeezed(p, 1, 30.0, 0.05, 0, 5001) is NoAcceptedSamples
 
     def test_unreachable_condition(self):
         p = realize(StateSpec(kind="fock", n=0))
