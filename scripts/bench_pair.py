@@ -13,8 +13,9 @@ repository root (``BENCH_<workload>_trace.json`` with ``--trace``), rewritten
 after every pair: every run, each side's median and quartiles per metric,
 how many pairs the change won per metric, each end-to-end metric's verdict
 (``gain``, ``worse``, ``unresolved`` or ``within_bound``, see ``verdict``),
-each side's failed and attempted operations with whether the change's failed
-share, averaged over pairs, is higher, and the core count.
+each side's failed and attempted operations and the seeds of its runs that
+reported ``correct: false``, whether the change's failed share, averaged over
+pairs, is higher, and the core count.
 """
 
 from __future__ import annotations
@@ -122,9 +123,12 @@ def summarize(runs: list[dict], declared: dict[str, dict]) -> dict:
                     values["parent"], values["change"], wins, direction, bound
                 )
         summary[name] = row
+    # a seed incorrect on both sides points at a defect in the reference, one
+    # incorrect on the change's side only at a regression
     failures = {
         side: {"failed": sum(r["failed"] for r in rs), "attempted": sum(r["attempted"] for r in rs),
-               "all_correct": all(r["correct"] for r in rs)}
+               "all_correct": all(r["correct"] for r in rs),
+               "incorrect_seeds": sorted(r["seed"] for r in rs if not r["correct"])}
         for side, rs in sides.items()
     }
     # the mean over pairs of each run's own share (both sides run every pair,
@@ -189,7 +193,9 @@ def main() -> int:
     ops = record["summary"]["operations"]
     print(f"failed_share_higher: {str(ops['failed_share_higher']).lower()} (parent "
           f"{ops['parent']['failed']}/{ops['parent']['attempted']}, change "
-          f"{ops['change']['failed']}/{ops['change']['attempted']})", file=sys.stderr)
+          f"{ops['change']['failed']}/{ops['change']['attempted']}); incorrect seeds: parent "
+          f"{ops['parent']['incorrect_seeds']}, change {ops['change']['incorrect_seeds']}",
+          file=sys.stderr)
     print(out_path)
     return 0
 

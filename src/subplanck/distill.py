@@ -186,10 +186,12 @@ def displace_to_origin(q: GridDensity) -> tuple[GridDensity, MaximumLocation]:
 
     Among the global maxima (within a relative ``density.GLOBAL_REL_TOL``
     of the highest), the one with the smallest nonnegative position wins
-    (ties in symmetric densities break toward +x).
+    (ties in symmetric densities break toward +x).  A maximum refined to
+    within 1e-9 below 0 counts as nonnegative: the centre of a symmetric
+    density on an even node count lies between nodes.
     """
     maxima = global_maxima(q)
-    nonneg = [m for m in maxima if m.a >= 0.0]
+    nonneg = [m for m in maxima if m.a >= -1e-9]
     chosen = min(nonneg, key=lambda m: m.a) if nonneg else max(maxima, key=lambda m: m.a)
     return shift(q, -chosen.a), chosen
 

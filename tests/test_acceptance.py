@@ -17,7 +17,6 @@ from subplanck.density import (
     convolve_gaussian,
     curvature_at,
     from_log_values,
-    global_maxima,
     log_interp,
     variance,
 )
@@ -25,6 +24,7 @@ from subplanck.depth import subplanck_depth, wigner_negativity_depth
 from subplanck.distill import (
     DistillConfig,
     asymptotic_variance,
+    displace_to_origin,
     quantify,
     universal_distill,
 )
@@ -254,9 +254,7 @@ def test_a11_relative_concavity_is_preserved():
         # the stencil error itself below the 0.1% budget
         fine = GridSpec(default_grid(spec).extent, 32768)
         p = realize(spec, fine)
-        maxima = global_maxima(p)
-        nonneg = [m for m in maxima if m.a >= 0.0]
-        a = min(nonneg, key=lambda m: m.a).a if nonneg else max(m.a for m in maxima)
+        a = displace_to_origin(p)[1].a
         rel_p = curvature_at(p, a) / float(np.exp(log_interp(p, np.array([a]))[0]))
         for n_layers in range(1, 7):
             scale = math.sqrt(2.0**n_layers)

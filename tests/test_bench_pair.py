@@ -26,7 +26,8 @@ def runs_from(parent, change, metric="ops_per_s", failed=(4, 4), attempted=(39, 
         for side, value, f, a in (("parent", p, failed[0], attempted[0]),
                                   ("change", c, failed[1], attempted[1])):
             runs.append({
-                "side": side, "pair": i, "correct": True, "attempted": a, "failed": f,
+                "side": side, "pair": i, "seed": 101 + i, "correct": True,
+                "attempted": a, "failed": f,
                 "metrics": {metric: value},
             })
     return runs
@@ -91,8 +92,19 @@ class TestVerdict:
     def test_failures_are_summed_per_side(self):
         summary = bench_pair.summarize(runs_from(PARENT, PARENT), DECLARED)
         assert summary["operations"]["change"] == {
-            "failed": 40, "attempted": 390, "all_correct": True,
+            "failed": 40, "attempted": 390, "all_correct": True, "incorrect_seeds": [],
         }
+
+    def test_incorrect_seeds_are_listed_per_side(self):
+        # seed 103 is incorrect on both sides (a reference defect), seed 107
+        # on the change's side only (a regression)
+        runs = runs_from(PARENT, PARENT)
+        for r in runs:
+            r["correct"] = not (r["seed"] == 103 or (r["seed"] == 107 and r["side"] == "change"))
+        ops = bench_pair.summarize(runs, DECLARED)["operations"]
+        parent, change = ops["parent"], ops["change"]
+        assert (parent["all_correct"], parent["incorrect_seeds"]) == (False, [103])
+        assert (change["all_correct"], change["incorrect_seeds"]) == (False, [103, 107])
 
 
 @pytest.mark.parametrize(

@@ -274,7 +274,7 @@ class TestGlobalMaximaBitExact:
     def test_displace_to_origin_picks_the_loop_choice(self, name, copies):
         d = pow_scale(realize(BIT_EXACT_SPECS[name]), copies)
         globals_ = [m for m in loop_global_maxima(d) if m.is_global]
-        nonneg = [m for m in globals_ if m.a >= 0.0]
+        nonneg = [m for m in globals_ if m.a >= -1e-9]
         want = min(nonneg, key=lambda m: m.a) if nonneg else max(globals_, key=lambda m: m.a)
         _, chosen = displace_to_origin(d)
         assert (chosen.a, chosen.value) == (want.a, want.value)

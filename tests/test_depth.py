@@ -17,6 +17,17 @@ from subplanck.depth import (
 from subplanck.errors import CutoffTooSmall, NoSqueezingAtZero
 from subplanck.states import StateSpec, realize
 
+# a symmetric Fock mixture whose centre maximum ties with its side peaks near
+# its asymptotic depth; bench/reference.py puts that depth at REF_DEPTH
+TIED_MIXTURE = (
+    0.17436676865208306,
+    0.031711055833983134,
+    0.00959145310539289,
+    0.10852600113057333,
+    0.6758047212779676,
+)
+REF_DEPTH = 0.1739997750616878
+
 
 class TestWignerOrigin:
     @pytest.mark.parametrize("nbar", [0.1, 0.5, 2.0])
@@ -32,8 +43,8 @@ class TestWignerOrigin:
     def test_fock1_vanishes_at_half(self):
         assert abs(thermal_fock_wigner_origin(1, 0.5)) <= 1e-8
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("nbar", [0.2, 0.8])
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("nbar", [0.2, 0.8, 2.0])
     def test_consistent_with_number_statistics(self, n, nbar):
         # same channel, independent route: W(0) is the parity average
         pops = thermal_fock_number_distribution(n, nbar).populations
@@ -80,6 +91,14 @@ class TestNumberDistribution:
         ms = np.arange(12)
         expected = nbar**ms / (1.0 + nbar) ** (ms + 1)
         assert np.max(np.abs(pops[:12] - expected)) <= 1e-6
+
+    @pytest.mark.parametrize("nbar", [1e-3, 0.05, 0.3, 1.0, 2.0])
+    def test_fock1_closed_form(self, nbar):
+        # the k = 0 and k = 1 terms: (nbar^(m+1) + m nbar^(m-1)) / (1+nbar)^(m+2)
+        pops = thermal_fock_number_distribution(1, nbar).populations
+        ms = np.arange(pops.shape[0])
+        expected = (nbar ** (ms + 1) + ms * nbar ** (ms - 1.0)) / (1.0 + nbar) ** (ms + 2)
+        assert np.max(np.abs(pops - expected)) <= 1e-12
 
     def test_cold_channel_is_point_mass(self):
         dist = thermal_fock_number_distribution(4, 0.0)
@@ -187,6 +206,14 @@ class TestSubplanckDepth:
             return quantify(dens).min_variance
 
         assert min_var(lo) < 0.5 < min_var(hi)
+
+    def test_tied_mixture_brackets_the_reference_depth(self):
+        # the centre maximum, refined a hair below x = 0, must keep winning the
+        # tie-break up to the depth; the side peak would end the search late
+        spec = StateSpec(kind="mixture", populations=TIED_MIXTURE)
+        result = subplanck_depth(spec, asymptotic=True)
+        lo, hi = result.bracket
+        assert lo - 1e-4 <= REF_DEPTH <= hi + 1e-4
 
     def test_classical_input_rejected(self):
         with pytest.raises(NoSqueezingAtZero):

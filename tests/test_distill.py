@@ -126,6 +126,21 @@ class TestDisplaceToOrigin:
         _, chosen = displace_to_origin(make_grid_density(xs, vals))
         assert chosen.a == pytest.approx(-3.0, abs=1e-3)
 
+    def test_centre_between_nodes_counts_as_nonnegative(self):
+        # symmetric on an even node count: the centre maximum, as high as the
+        # side peaks at +-2.406 to within the global tolerance, is refined to
+        # -2.1e-14 and must still win over the side peak at +2.406
+        pops = (
+            0.17436676865208306,
+            0.031711055833983134,
+            0.00959145310539289,
+            0.10852600113057333,
+            0.6758047212779676,
+        )
+        spec = StateSpec(kind="mixture", populations=pops, thermal_nbar=0.1748046875)
+        _, chosen = displace_to_origin(realize(spec))
+        assert abs(chosen.a) <= 1e-9
+
 
 class TestGroundStateFilter:
     def test_full_transmission_is_identity(self):
