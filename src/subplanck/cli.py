@@ -173,7 +173,10 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"bad config: pipeline.{exc}") from exc
 
-    grid = raw.get("grid", {})
+    flags = {"extent": args.grid_extent, "nodes": args.grid_nodes}
+    grid = {**raw.get("grid", {}), **{k: v for k, v in flags.items() if v is not None}}
+    if grid and "density_csv" in raw:
+        raise ConfigError(f"a density_csv input reads no grid.{min(grid)} (--grid-{min(grid)})")
     outputs = raw.get("outputs", {})
     if len(set(outputs.values())) != len(outputs):
         raise ConfigError("output paths must be distinct")
@@ -182,8 +185,8 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         density_csv=raw.get("density_csv"),
         rabi_csv=raw.get("rabi_csv"),
         pipeline=pipeline,
-        grid_extent=args.grid_extent if args.grid_extent is not None else grid.get("extent"),
-        grid_nodes=args.grid_nodes if args.grid_nodes is not None else grid.get("nodes"),
+        grid_extent=grid.get("extent"),
+        grid_nodes=grid.get("nodes"),
         outputs=outputs,
         seed=args.seed if args.seed is not None else raw.get("seed", 0),
         rabi_model=model,

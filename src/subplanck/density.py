@@ -309,10 +309,7 @@ def pow_scale(d: GridDensity, copies: int) -> GridDensity:
     log_new = copies * (d.log_p - d.norm_log)
     if not np.isfinite(log_new).any():
         raise DegenerateResult("all density values vanished under powering")
-    try:
-        return from_log_values(d.x_min * r, d.x_step * r, log_new)
-    except ZeroMass as exc:  # pragma: no cover - defensive
-        raise DegenerateResult(str(exc)) from exc
+    return from_log_values(d.x_min * r, d.x_step * r, log_new)
 
 
 def shift(d: GridDensity, offset: float) -> GridDensity:
@@ -327,36 +324,23 @@ def log_interp(d: GridDensity, xq: np.ndarray) -> np.ndarray:
     the whole adjacent open interval, and points outside the grid are zero.
     """
     xq = np.asarray(xq, dtype=float)
-    t = xq.ravel() - d.x_min
-    t /= d.x_step
+    t = (xq - d.x_min) / d.x_step
     n = d.n_nodes
-    out = np.full(t.shape, -math.inf)
+    out = np.full(xq.shape, -math.inf)
     inside = (t >= 0.0) & (t <= n - 1)
-    # monotone queries put the in-grid points in one run, read as a slice
-    k = int(np.count_nonzero(inside))
-    start = int(inside.argmax()) if k else 0
-    run = slice(start, start + k)
-    if not inside[run].all():
-        run = inside
-    ti = t[run]
-    base = np.floor(ti)
-    np.minimum(base, n - 2, out=base)
-    frac = ti - base
-    i0 = base.astype(np.intp)
-    left = d.log_p.take(i0)
-    right = d.log_p[1:].take(i0)
-    val = 1.0 - frac
+    ti = t[inside]
+    i0 = np.minimum(np.floor(ti), n - 2).astype(np.intp)
+    frac = ti - i0
+    left = d.log_p[i0]
+    right = d.log_p[i0 + 1]
     with np.errstate(invalid="ignore"):
-        val *= left
-        right *= frac
-        val += right
+        val = (1.0 - frac) * left + frac * right
     # at an exact node the neighbor's -inf must not bleed in
-    np.copyto(val, left, where=frac == 0.0)
-    # NaN becomes -inf; fmax keeps every other value as it is
-    np.fmax(val, -math.inf, out=val)
-    val -= d.norm_log
-    out[run] = val
-    return out.reshape(xq.shape)
+    val = np.where(frac == 0.0, left, val)
+    # 0 * -inf and NaN nodes give NaN; it reads as an exact zero
+    val = np.where(np.isnan(val), -math.inf, val)
+    out[inside] = val - d.norm_log
+    return out
 
 
 def read_two_columns(path: str) -> tuple[np.ndarray, np.ndarray]:

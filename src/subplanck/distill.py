@@ -91,6 +91,9 @@ class DistillConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("conditioning_xbar", "prelayer_xbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 <= self.layers <= _MAX_LAYERS:
             raise ValueError(f"layers must lie in 0..{_MAX_LAYERS}")
         if self.nonuniversal_prelayers not in (0, 1):

@@ -233,13 +233,18 @@ def _fock_extent(n: int) -> float:
     return 6.0 + 2.0 * math.sqrt(2.0 * n + 1.0)
 
 
+def _top_level(spec: StateSpec) -> int:
+    """Highest number state a fock or mixture spec occupies."""
+    if spec.kind == "fock":
+        return spec.n
+    # a valid population vector has mass, so some state is occupied
+    return max(m for m, p in enumerate(spec.populations) if p > 0.0)
+
+
 def default_grid(spec: StateSpec) -> GridSpec:
     """Grid wide enough that the state's density decays at the edges."""
-    if spec.kind == "fock":
-        extent = _fock_extent(spec.n)
-    elif spec.kind == "mixture":
-        # a valid population vector has mass, so some state is occupied
-        extent = _fock_extent(max(m for m, p in enumerate(spec.populations) if p > 0.0))
+    if spec.kind in ("fock", "mixture"):
+        extent = _fock_extent(_top_level(spec))
     elif spec.kind == "cat":
         extent = 8.0
         if abs(spec.quadrature_angle - 0.5 * math.pi) < 1e-12:
@@ -277,53 +282,34 @@ def _fock_wavefunctions(n_top: int, xs: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _fock_density(n: int, grid: GridSpec) -> GridDensity:
+# Each builder below maps node positions to unnormalized log density values;
+# ``realize`` turns them into a GridDensity.
+
+def _fock_log_density(n: int, xs: np.ndarray) -> np.ndarray:
     """Position density of the number state ``n``."""
-    if grid.extent < _fock_extent(n) - 1e-9:
-        raise GridTooNarrow(
-            f"fock {n} needs extent >= {_fock_extent(n):.3f}, got {grid.extent}"
-        )
-    xs = grid.xs()
-    psi = _fock_wavefunctions(n, xs)[n]
-    with np.errstate(divide="ignore"):
-        log_p = 2.0 * np.log(np.abs(psi))
-    return from_log_values(xs[0], grid.step, log_p)
+    return 2.0 * np.log(np.abs(_fock_wavefunctions(n, xs)[n]))
 
 
-def _fock_mixture_density(populations: tuple[float, ...], grid: GridSpec) -> GridDensity:
-    """Position density of an incoherent number-state mixture."""
-    pops = np.asarray(populations, dtype=float)
-    occupied = np.nonzero(pops > 0.0)[0]
-    n_top = int(occupied[-1])
-    if grid.extent < _fock_extent(n_top) - 1e-9:
-        raise GridTooNarrow(
-            f"mixture up to fock {n_top} needs extent >= {_fock_extent(n_top):.3f}"
-        )
-    xs = grid.xs()
-    psis = _fock_wavefunctions(n_top, xs)
+def _mixture_log_density(populations: tuple[float, ...], n_top: int, xs: np.ndarray) -> np.ndarray:
+    """Position density of an incoherent number-state mixture occupying up to ``n_top``."""
     dens = np.zeros_like(xs)
-    for m in occupied:
-        dens += pops[m] * psis[m] ** 2
-    with np.errstate(divide="ignore"):
-        log_p = np.log(dens)
-    return from_log_values(xs[0], grid.step, log_p)
+    for p, psi in zip(populations, _fock_wavefunctions(n_top, xs)):
+        if p > 0.0:
+            dens += p * psi**2
+    return np.log(dens)
 
 
-def _cat_momentum_density(alpha: float, grid: GridSpec) -> GridDensity:
+def _cat_momentum_log_density(alpha: float, ps: np.ndarray) -> np.ndarray:
     """Momentum density of the even cat state with real amplitude ``alpha``.
 
     Proportional to exp(-p^2) cos^2(alpha p); the cosine zeros are exact.
     """
-    ps = grid.xs()
-    with np.errstate(divide="ignore"):
-        log_p = -(ps**2) + 2.0 * np.log(np.abs(np.cos(alpha * ps)))
-    return from_log_values(ps[0], grid.step, log_p)
+    return -(ps**2) + 2.0 * np.log(np.abs(np.cos(alpha * ps)))
 
 
-def _cat_position_density(alpha: float, grid: GridSpec) -> GridDensity:
+def _cat_position_log_density(alpha: float, xs: np.ndarray) -> np.ndarray:
     """Position density of the even cat: two humps plus an exponentially small bridge."""
     c = math.sqrt(2.0) * alpha
-    xs = grid.xs()
     terms = np.stack(
         [
             -((xs - c) ** 2),
@@ -332,19 +318,17 @@ def _cat_position_density(alpha: float, grid: GridSpec) -> GridDensity:
         ]
     )
     m = terms.max(axis=0)
-    log_p = m + np.log(np.sum(np.exp(terms - m), axis=0))
-    return from_log_values(xs[0], grid.step, log_p)
+    return m + np.log(np.sum(np.exp(terms - m), axis=0))
 
 
-def _gkp_position_density(
-    delta: float, side_peaks: int, spacing: float, grid: GridSpec
-) -> GridDensity:
+def _gkp_position_log_density(
+    delta: float, side_peaks: int, spacing: float, xs: np.ndarray
+) -> np.ndarray:
     """Position density of a finite-energy grid state.
 
     A comb of Gaussians of width ``delta`` at multiples of ``2*spacing``
-    under the standard finite-energy envelope, renormalized on the grid.
+    under the standard finite-energy envelope.
     """
-    xs = grid.xs()
     ss = np.arange(-side_peaks, side_peaks + 1)
     centers = 2.0 * spacing * ss
     # envelope weight follows the peak position, exp(-delta^2 x_s^2)
@@ -352,56 +336,39 @@ def _gkp_position_density(
         (xs[None, :] - centers[:, None]) / delta
     ) ** 2
     m = logs.max(axis=0)
-    log_p = m + np.log(np.sum(np.exp(logs - m), axis=0))
-    return from_log_values(xs[0], grid.step, log_p)
+    return m + np.log(np.sum(np.exp(logs - m), axis=0))
 
 
-def _gkp_momentum_density(
-    delta: float, side_peaks: int, spacing: float, grid: GridSpec
-) -> GridDensity:
+def _gkp_momentum_log_density(
+    delta: float, side_peaks: int, spacing: float, ps: np.ndarray
+) -> np.ndarray:
     """Momentum density of the same grid state: dual comb under exp(-delta^2 p^2)."""
-    ps = grid.xs()
     ss = np.arange(1, side_peaks + 1)
     amp = 1.0 + 2.0 * np.sum(
         np.exp(-(delta**2) * (2.0 * spacing * ss[:, None]) ** 2 / 2.0)
         * np.cos(2.0 * spacing * ss[:, None] * ps[None, :]),
         axis=0,
     )
-    with np.errstate(divide="ignore"):
-        log_p = -(delta**2) * ps**2 + 2.0 * np.log(np.abs(amp))
-    return from_log_values(ps[0], grid.step, log_p)
+    return -(delta**2) * ps**2 + 2.0 * np.log(np.abs(amp))
 
 
-def _cubic_momentum_density(gamma: float, grid: GridSpec) -> GridDensity:
-    """Momentum density of the cubic phase state, an exponentially tilted Airy.
+def _cubic_momentum_log_density(gamma: float, ps: np.ndarray) -> np.ndarray:
+    """Momentum density of the cubic phase state with ``gamma`` > 0, an
+    exponentially tilted Airy.
 
-    Nonzero gamma only; negative gamma mirrors the density in p.  The closed
-    form is unnormalized, so the grid sum is renormalized; the slow exp(-p/6)
-    tail on the oscillatory side is truncated by the grid.
+    The slow exp(-p/6) tail on the oscillatory side is truncated by the grid.
     """
-    if gamma < 0.0:
-        # exact mirror: reuse the positive-gamma normalization so the two
-        # parities agree to the bit
-        d = _cubic_momentum_density(-gamma, grid)
-        return GridDensity(
-            x_min=-d.x_max,
-            x_step=d.x_step,
-            log_p=d.log_p[::-1].copy(),
-            norm_log=d.norm_log,
-        )
-    ps = grid.xs()
     z = (1.0 - 4.0 * gamma * ps) / (4.0 * gamma ** (4.0 / 3.0))
     ai = np.asarray(airy_ai(z))
-    with np.errstate(divide="ignore"):
-        log_p = (1.0 - gamma * ps) / (6.0 * gamma**2) + 2.0 * np.log(np.abs(ai))
-    return from_log_values(ps[0], grid.step, log_p)
+    return (1.0 - gamma * ps) / (6.0 * gamma**2) + 2.0 * np.log(np.abs(ai))
 
 
 def realize(spec: StateSpec, grid: GridSpec | None = None) -> GridDensity:
     """Produce the quadrature density a :class:`StateSpec` describes.
 
     The one way to build a catalog density: on ``grid``, or on the spec's
-    :func:`default_grid` when it is None.
+    :func:`default_grid` when it is None.  The closed forms are unnormalized,
+    so the grid sum normalizes them.
     """
     angle = spec.quadrature_angle
     rotated = abs(angle - 0.5 * math.pi) < 1e-12
@@ -411,23 +378,34 @@ def realize(spec: StateSpec, grid: GridSpec | None = None) -> GridDensity:
         )
     if grid is None:
         grid = default_grid(spec)
-    if spec.kind == "fock":
-        base = _fock_density(spec.n, grid)
-    elif spec.kind == "mixture":
-        base = _fock_mixture_density(spec.populations, grid)
-    elif spec.kind == "cat":
-        build = _cat_position_density if rotated else _cat_momentum_density
-        base = build(spec.alpha, grid)
-    elif spec.kind == "gkp":
-        build = _gkp_momentum_density if rotated else _gkp_position_density
-        base = build(spec.delta, spec.side_peaks, spec.spacing, grid)
-    else:  # cubic
-        if rotated:
+    if spec.kind in ("fock", "mixture"):
+        n_top = _top_level(spec)
+        if grid.extent < _fock_extent(n_top) - 1e-9:
+            raise GridTooNarrow(
+                f"fock {n_top} needs extent >= {_fock_extent(n_top):.3f}, got {grid.extent}"
+            )
+    xs = grid.xs()
+    with np.errstate(divide="ignore"):
+        if spec.kind == "fock":
+            log_p = _fock_log_density(spec.n, xs)
+        elif spec.kind == "mixture":
+            log_p = _mixture_log_density(spec.populations, n_top, xs)
+        elif spec.kind == "cat":
+            build = _cat_position_log_density if rotated else _cat_momentum_log_density
+            log_p = build(spec.alpha, xs)
+        elif spec.kind == "gkp":
+            build = _gkp_momentum_log_density if rotated else _gkp_position_log_density
+            log_p = build(spec.delta, spec.side_peaks, spec.spacing, xs)
+        elif rotated:
             # the cubic phase leaves the position density untouched: pure ground state
-            xs = grid.xs()
-            base = from_log_values(xs[0], grid.step, -(xs**2))
+            log_p = -(xs**2)
         else:
-            base = _cubic_momentum_density(spec.gamma, grid)
+            log_p = _cubic_momentum_log_density(abs(spec.gamma), xs)
+    base = from_log_values(xs[0], grid.step, log_p)
+    if spec.kind == "cubic" and not rotated and spec.gamma < 0.0:
+        # negative gamma mirrors the density in p; reusing the positive-gamma
+        # normalization keeps the two parities equal to the bit
+        base = GridDensity(-base.x_max, base.x_step, base.log_p[::-1].copy(), base.norm_log)
     if spec.thermal_nbar > 0.0:
         base = convolve_gaussian(base, spec.thermal_nbar)
     return base

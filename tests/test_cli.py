@@ -314,8 +314,29 @@ class TestConfigErrors:
             ({"state": {"kind": "gkp", "delta": math.nan, "spacing": 2.5}}, None, "delta"),
             (None, {"omega01": math.inf}, "omega01"),
             (None, {"decay_exponent": math.nan}, "decay_exponent"),
+            (
+                {"state": {"kind": "fock", "n": 1}, "pipeline": {"conditioning_xbar": math.nan}},
+                None,
+                "conditioning_xbar",
+            ),
+            (
+                {"state": {"kind": "fock", "n": 1}, "pipeline": {"conditioning_xbar": math.inf}},
+                None,
+                "conditioning_xbar",
+            ),
+            (
+                {
+                    "state": {"kind": "fock", "n": 1},
+                    "pipeline": {"nonuniversal_prelayers": 1, "prelayer_xbar": math.nan},
+                },
+                None,
+                "prelayer_xbar",
+            ),
         ],
-        ids=["cat-angle-nan", "cubic-gamma-inf", "gkp-delta-nan", "omega01-inf", "decay-nan"],
+        ids=[
+            "cat-angle-nan", "cubic-gamma-inf", "gkp-delta-nan", "omega01-inf", "decay-nan",
+            "conditioning-nan", "conditioning-inf", "prelayer-nan",
+        ],
     )
     def test_non_finite_setting_is_a_config_error(self, tmp_path, capsys, source, model, field):
         command = "quantify"
@@ -336,6 +357,27 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "pipeline.prelayer_xbar" in err
+
+    @pytest.mark.parametrize(
+        "grid,flags,setting",
+        [
+            ({"nodes": 2048}, [], "grid.nodes"),
+            ({"extent": 12.0}, [], "grid.extent"),
+            ({}, ["--grid-nodes", "2048"], "--grid-nodes"),
+            ({}, ["--grid-extent", "12"], "--grid-extent"),
+        ],
+    )
+    def test_grid_setting_on_a_density_csv(self, tmp_path, capsys, grid, flags, setting):
+        # the CSV brings its own nodes, so nothing reads a grid setting
+        csv = tmp_path / "density.csv"
+        xs = np.linspace(-6.0, 6.0, 256)
+        csv.write_text("".join(f"{x},{math.exp(-x * x)}\n" for x in xs))
+        payload = {"density_csv": str(csv), **({"grid": grid} if grid else {})}
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(["quantify", "--config", cfg, *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert setting in err
 
     def test_clashing_output_paths(self, tmp_path, capsys):
         cfg = write_config(

@@ -115,9 +115,18 @@ class TestFockDensities:
         vals = realize(StateSpec(kind="fock", n=7)).values()
         assert np.max(np.abs(vals - vals[::-1])) <= 1e-10
 
-    def test_narrow_grid_rejected(self):
-        with pytest.raises(GridTooNarrow):
-            realize(StateSpec(kind="fock", n=10), GridSpec(4.0))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            StateSpec(kind="fock", n=10),
+            StateSpec(kind="mixture", populations=(0.5,) + (0.0,) * 9 + (0.5, 0.0)),
+        ],
+        ids=["fock", "mixture"],
+    )
+    def test_narrow_grid_rejected(self, spec):
+        # one message for both kinds, naming the highest occupied level
+        with pytest.raises(GridTooNarrow, match=r"^fock 10 needs extent >= 15\.165, got 4\.0$"):
+            realize(spec, GridSpec(4.0))
 
 
 class TestFockMixtures:
