@@ -13,6 +13,8 @@ keep bit for bit:
   xbar 0, 0.4, -1.3 and 5;
 - ``log_interp`` on increasing, decreasing, out-of-grid, scattered and
   scalar queries;
+- ``global_maxima`` (``a``, ``value``, ``kappa`` of each) of every kind at 1
+  and 16 copies, so a refactor of the peak fit can show it keeps the bytes;
 - ``quantify(...).to_dict()`` at three pipeline configs.
 
 An exception is recorded by its type only, so a reworded message does not
@@ -35,7 +37,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from subplanck.density import GridSpec, log_interp  # noqa: E402
+from subplanck.density import GridSpec, global_maxima, log_interp, pow_scale  # noqa: E402
 from subplanck.distill import (  # noqa: E402
     DistillConfig,
     binary_sequence_distill,
@@ -104,6 +106,12 @@ def encode(value) -> bytes:
     return struct.pack("<3d", value.x_min, value.x_step, value.norm_log) + value.log_p.tobytes()
 
 
+def maxima(spec: StateSpec, copies: int) -> np.ndarray:
+    """``(a, value, kappa)`` of each global maximum of ``copies`` copies of ``spec``."""
+    found = global_maxima(pow_scale(realize(spec), copies))
+    return np.array([(m.a, m.value, m.kappa) for m in found])
+
+
 def battery() -> Digest:
     digest = Digest()
     for spec in SPECS:
@@ -112,6 +120,8 @@ def battery() -> Digest:
             extent = default_grid(thermal).extent
             for grid in (None, GridSpec(extent, 4999), GridSpec(extent, 513)):
                 digest.record(f"realize {thermal} {grid}", lambda: realize(thermal, grid))
+        for copies in (1, 16):
+            digest.record(f"global_maxima {spec} {copies}", lambda: maxima(spec, copies))
     digest.record("narrow fock", lambda: realize(StateSpec("fock", n=4), GridSpec(5.0)))
     narrow_mixture = StateSpec("mixture", populations=(0.5, 0.0, 0.5))
     digest.record("narrow mixture", lambda: realize(narrow_mixture, GridSpec(5.0)))

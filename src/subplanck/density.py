@@ -59,8 +59,11 @@ _EDGE_DECAY_GUARD = 1e-9
 # Maxima within this relative height of the highest count as global.
 GLOBAL_REL_TOL = 1e-3
 
-# Nodes on each side of the point in the quartic curvature fit.
-CURVATURE_WINDOW = 8
+# Nodes on each side of the centre node in the quartic peak fit.
+PEAK_WINDOW = 8
+_OFFSETS = np.arange(-PEAK_WINDOW, PEAK_WINDOW + 1)
+# _PEAK_FIT @ y: least-squares quartic of values y at _OFFSETS, in steps.
+_PEAK_FIT = np.linalg.pinv(np.vander(_OFFSETS.astype(float), 5, increasing=True))
 
 
 @dataclass(frozen=True)
@@ -129,10 +132,13 @@ class GridDensity:
 
 @dataclass(frozen=True)
 class MaximumLocation:
-    """A local maximum refined off the grid by a three-point parabola."""
+    """A maximum refined off the grid on the peak fit of ``log_p``: density
+    ``value`` and ``kappa`` = -(log p)'' at ``a`` (at the node, with ``kappa``
+    NaN, where the fit's window holds an exact zero)."""
 
     a: float
     value: float
+    kappa: float
 
 
 def log_norm(log_p: np.ndarray, x_step: float) -> float:
@@ -212,56 +218,78 @@ def variance(d: GridDensity) -> float:
     return m2 - m1 * m1
 
 
-def global_maxima(d: GridDensity) -> list[MaximumLocation]:
-    """Locate the global maxima, parabola-refined, sorted by height.
+def _quartic(c: np.ndarray, s):
+    """Value, slope and second derivative at ``s`` of the quartic(s) ``c[0..4]``."""
+    c0, c1, c2, c3, c4 = c
+    value = c0 + s * (c1 + s * (c2 + s * (c3 + s * c4)))
+    slope = c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * 4.0 * c4))
+    return value, slope, 2.0 * c2 + s * (6.0 * c3 + s * 12.0 * c4)
 
-    An interior local maximum is global when its refined value is within
-    ``GLOBAL_REL_TOL`` (relative) of the highest one.  Raises
+
+def _peak_fits(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Peak fits of ``y`` around the nodes nearest ``u`` (in steps from the
+    first node; a window is moved inside the grid, and its fit is NaN where
+    it holds an exact zero), and ``u`` in steps from each window's centre."""
+    centre = np.clip(np.rint(u).astype(np.intp), PEAK_WINDOW, y.shape[0] - 1 - PEAK_WINDOW)
+    windows = y[centre[:, None] + _OFFSETS]
+    windows[np.isinf(windows)] = math.nan
+    return _PEAK_FIT @ windows.T, u - centre
+
+
+def global_maxima(d: GridDensity) -> list[MaximumLocation]:
+    """Locate the global maxima on the peak fit, sorted by height.
+
+    Newton steps move each local maximum within one e-fold of the highest
+    node to its fit's vertex, at most a step away.  It is global when its
+    value is within ``GLOBAL_REL_TOL`` (relative) of the highest.  Raises
     :class:`NoInteriorMaximum` when the density peaks at a grid edge.
     """
-    v = d.values()
-    n = v.shape[0]
-    top = int(np.argmax(v))
-    if top == 0 or top == n - 1:
+    log_p = d.log_p
+    top = int(np.argmax(log_p))
+    if top == 0 or top == log_p.shape[0] - 1:
         raise NoInteriorMaximum("density is maximized at a grid edge")
-    inner = v[1:-1]
-    is_peak = (inner > v[:-2]) & (inner >= v[2:])
+    inner = log_p[1:-1]
+    is_peak = (inner > log_p[:-2]) & (inner >= log_p[2:]) & (inner >= log_p[top] - 1.0)
     i = np.nonzero(is_peak)[0] + 1
-    h = d.x_step
-    y1, y2, y3 = v[i - 1], v[i], v[i + 1]
-    denom = y1 - 2.0 * y2 + y3
-    # a flat triple keeps the node itself: delta = 0 gives a = x_i, value = y2
-    flat = denom >= 0.0
-    delta = np.divide(0.5 * (y1 - y3), denom, out=np.zeros_like(denom), where=~flat)
-    delta = np.clip(delta, -1.0, 1.0)
-    a = d.x_min + (i + delta) * h
-    value = y2 - 0.25 * (y1 - y3) * delta
-    keep = value >= (1.0 - GLOBAL_REL_TOL) * value.max()
-    a, value = a[keep], value[keep]
+    c, s0 = _peak_fits(log_p, i)
+    found = []
+    for cj, start, node in zip(c.T.tolist(), s0.tolist(), i.tolist()):
+        x = start
+        for _ in range(8):
+            _, slope, curv = _quartic(cj, x)
+            # a window with an exact zero (NaN fit) or a convex fit keeps the node
+            step = slope / curv if curv < 0.0 else 0.0
+            x = min(max(x - step, start - 1.0), start + 1.0)
+            if abs(step) < 1e-9:  # converged: the next step would be ~1e-18
+                break
+        lv, _, curv = _quartic(cj, x)
+        value = math.exp((log_p[node] if math.isnan(lv) else lv) - d.norm_log)
+        a = d.x_min + (node + x - start) * d.x_step
+        found.append(MaximumLocation(a, value, -curv / d.x_step**2))
+    floor = (1.0 - GLOBAL_REL_TOL) * max(m.value for m in found)
     # a stable sort keeps equal heights in grid order
-    order = np.argsort(-value, kind="stable")
-    columns = (x[order].tolist() for x in (a, value))
-    return [MaximumLocation(*fields) for fields in zip(*columns)]
+    return sorted((m for m in found if m.value >= floor), key=lambda m: -m.value)
+
+
+def log_peak_fit(d: GridDensity, x: float) -> tuple[float, float]:
+    """Slope and curvature -(log p)'' at ``x`` of the peak fit around the node
+    nearest ``x`` (not finite where its window holds an exact zero)."""
+    c, s = _peak_fits(d.log_p, np.array([(x - d.x_min) / d.x_step]))
+    _, slope, curv = _quartic(c[:, 0], s[0])
+    return float(slope / d.x_step), float(-curv / d.x_step**2)
 
 
 def curvature_at(d: GridDensity, a: float) -> float:
-    """Second derivative of the density at ``a`` from a quartic LSQ fit.
-
-    The fit uses ``2*CURVATURE_WINDOW + 1`` nodes centered on the node
-    nearest ``a`` and reproduces exact quartics to machine precision.
-    """
-    window = CURVATURE_WINDOW
-    j = int(round((a - d.x_min) / d.x_step))
-    if j - window < 0 or j + window > d.n_nodes - 1:
+    """Second derivative of the density at ``a``: the peak fit of the values
+    around the node nearest ``a``, exact for quartics to machine precision."""
+    u = (a - d.x_min) / d.x_step
+    if not PEAK_WINDOW <= round(u) <= d.n_nodes - 1 - PEAK_WINDOW:
         raise WindowOutOfRange(
-            f"window of {window} nodes around {a!r} falls outside the grid"
+            f"window of {PEAK_WINDOW} nodes around {a!r} falls outside the grid"
         )
-    idx = np.arange(j - window, j + window + 1)
-    xs = d.x_min + d.x_step * idx
-    s = (xs - a) / d.x_step
-    y = np.exp(d.log_p[idx] - d.norm_log)
-    coef = np.polynomial.polynomial.polyfit(s, y, 4)
-    return float(2.0 * coef[2] / d.x_step**2)
+    c, s = _peak_fits(d.values(), np.array([u]))
+    _, _, curv = _quartic(c[:, 0], s[0])
+    return float(curv / d.x_step**2)
 
 
 def convolve_gaussian(d: GridDensity, var: float) -> GridDensity:

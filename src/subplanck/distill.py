@@ -3,8 +3,8 @@
 The universal pipeline powers up 2**N copies of a density, recenters the
 chosen global maximum, and passes the result through a ground-state filter
 of tunable transmissivity.  The variance left after the optimal filter is
-the operational figure of merit; its many-copy limit equals the density's
-value over curvature at the maximum.
+the operational figure of merit; its many-copy limit is 1/kappa, with
+kappa = -(log p)'' at the maximum.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import numpy as np
 from .density import (
     GridDensity,
     MaximumLocation,
-    curvature_at,
+    curvature_at,  # noqa: F401  (unused here; bench/spans.py wraps this name)
     from_log_values,
     global_maxima,
     log_interp,
+    log_peak_fit,
     pow_scale,
     shift,
     variance,  # noqa: F401  (unused here; bench/spans.py wraps this name)
@@ -31,6 +32,7 @@ from .errors import (
     PreconditionError,
     ZeroMassCondition,
 )
+from .states import _real
 
 __all__ = [
     "DistillConfig",
@@ -92,8 +94,9 @@ class DistillConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("conditioning_xbar", "prelayer_xbar"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and real, got {value!r}")
         if not 0 <= self.layers <= _MAX_LAYERS:
             raise ValueError(f"layers must lie in 0..{_MAX_LAYERS}")
         if self.nonuniversal_prelayers not in (0, 1):
@@ -189,12 +192,12 @@ def displace_to_origin(q: GridDensity) -> tuple[GridDensity, MaximumLocation]:
 
     Among the global maxima (within a relative ``density.GLOBAL_REL_TOL``
     of the highest), the one with the smallest nonnegative position wins
-    (ties in symmetric densities break toward +x).  A maximum refined to
-    within 1e-9 below 0 counts as nonnegative: the centre of a symmetric
-    density on an even node count lies between nodes.
+    (ties in symmetric densities break toward +x).  A maximum within 1e-4
+    of a step below 0 counts as nonnegative: the peak fit places the centre
+    of a symmetric density on an even node count ~1e-6 steps off.
     """
     maxima = global_maxima(q)
-    nonneg = [m for m in maxima if m.a >= -1e-9]
+    nonneg = [m for m in maxima if m.a >= -1e-4 * q.x_step]
     chosen = min(nonneg, key=lambda m: m.a) if nonneg else max(maxima, key=lambda m: m.a)
     return shift(q, -chosen.a), chosen
 
@@ -228,16 +231,10 @@ def filter_with_ground_state(q: GridDensity, transmissivity: float) -> GridDensi
 def _peak_model(q: GridDensity) -> tuple[float, float, float]:
     """The filter's resolution floor 2h^2 / (1 + 2h^2) on ``q``, below which
     it is narrower than one step, and log Q's slope and curvature
-    -(log Q)'' at x = 0, carried there from the middle one of the five nodes
-    around it (not finite where one of those is an exact zero)."""
+    -(log Q)'' at x = 0, read off the peak fit of ``density.global_maxima``
+    (not finite where its window holds an exact zero)."""
     h = q.x_step
-    j = min(max(round(-q.x_min / h), 2), q.n_nodes - 3)
-    lp, u = q.log_p[j - 2 : j + 3], q.x_min / h + j
-    with np.errstate(invalid="ignore"):
-        d2 = (2.0 * lp[1:4] - lp[:3] - lp[2:]) / (h * h)
-        slope = (lp[3] - lp[1]) / (2.0 * h) + d2[1] * u * h
-        kappa = d2[1] - (d2[2] - d2[0]) * u / 2.0
-    return 2.0 * h * h / (1.0 + 2.0 * h * h), float(slope), float(kappa)
+    return (2.0 * h * h / (1.0 + 2.0 * h * h), *log_peak_fit(q, 0.0))
 
 
 def _filter_scan(q: GridDensity):
@@ -311,14 +308,12 @@ def optimize_filter(q: GridDensity) -> tuple[float, float]:
 
 
 def asymptotic_variance(p: GridDensity) -> float:
-    """Many-copy variance limit: density over |curvature| at the chosen maximum."""
+    """Many-copy variance limit 1/kappa, kappa = -(log p)'' at the chosen maximum."""
     _, chosen = displace_to_origin(p)
-    curv = curvature_at(p, chosen.a)
-    if abs(curv) < 1e-12 * chosen.value or curv > 0.0:
-        raise FlatMaximum(
-            f"curvature {curv!r} at {chosen.a!r} is too flat for a variance limit"
-        )
-    return chosen.value / abs(curv)
+    if not chosen.kappa > 1e-12:
+        cause = "an exact zero" if math.isnan(chosen.kappa) else f"curvature {chosen.kappa!r}"
+        raise FlatMaximum(f"no variance limit: the peak window at {chosen.a!r} has {cause}")
+    return 1.0 / chosen.kappa
 
 
 def efficiency(asymptotic: float, achieved: float) -> float:

@@ -28,17 +28,17 @@ from subplanck.states import StateSpec, realize
 # the Fock 1 table equals bench/reference.py's full-line value to 12 digits.
 RABI_LAYERS_TABLE = """\
 layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,error
-1,0.337040626326,-1.71287751162,0.2500013018,0.741754204901,
-2,0.306090875129,-2.13119621293,0.2500013018,0.816755160359,
-3,0.284149765062,-2.45422703034,0.2500013018,0.879822306892,
-4,0.270007114506,-2.67594796659,0.2500013018,0.925906349755,
+1,0.337040626326,-1.71287751162,0.249999847421,0.741749889756,
+2,0.306090875129,-2.13119621293,0.249999847421,0.816750408897,
+3,0.284149765062,-2.45422703034,0.249999847421,0.879817188538,
+4,0.270007114505,-2.6759479666,0.249999847421,0.925900963309,
 """
 FOCK1_LAYERS_DEPTH_TABLE = """\
 layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,nbar_star,error
-1,0.337040626302,-1.71287751194,0.250001301787,0.741754204915,0.24951171875,
-2,0.30609087511,-2.1311962132,0.250001301787,0.816755160365,0.24951171875,
-3,0.284149765046,-2.45422703059,0.250001301787,0.879822306895,0.24951171875,
-4,0.270007114491,-2.67594796683,0.250001301787,0.925906349757,0.24951171875,
+1,0.337040626302,-1.71287751194,0.249999847408,0.741749889771,0.24951171875,
+2,0.30609087511,-2.1311962132,0.249999847408,0.816750408904,0.24951171875,
+3,0.284149765046,-2.45422703059,0.249999847408,0.879817188542,0.24951171875,
+4,0.270007114491,-2.67594796683,0.249999847408,0.925900963311,0.24951171875,
 """
 
 FOCK4_ASYMPTOTIC_DEPTH = (
@@ -48,8 +48,8 @@ FOCK4_ASYMPTOTIC_DEPTH = (
 
 FOCK1_REPORT = (
     '{"min_variance": 0.270007114491, "squeezing_db": -2.67594796683, '
-    '"T_opt": 0.850827485407, "maximum_a": 4.00001408401, '
-    '"asymptotic_variance": 0.250001301787, "efficiency": 0.925906349757, '
+    '"T_opt": 0.850827162241, "maximum_a": 3.99999978608, '
+    '"asymptotic_variance": 0.249999847408, "efficiency": 0.925900963311, '
     '"is_squeezed": true, "layers": 4, "copies": 16}\n'
 )
 
@@ -578,7 +578,7 @@ class TestDepthCommand:
         code, coarse, _ = run_cli(flags[:-1] + ["513"], capsys)
         assert code == 0
         assert coarse != default
-        assert json.loads(coarse)["nbar_star"] == 0.27001953125
+        assert json.loads(coarse)["nbar_star"] == 0.27197265625
 
     def test_classical_state_is_precondition_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 0}})

@@ -14,6 +14,7 @@ from subplanck.density import (
     log_interp,
     make_grid_density,
     mean,
+    pow_scale,
     variance,
 )
 from subplanck.distill import (
@@ -113,6 +114,17 @@ class TestBinarySequenceDistill:
             binary_sequence_distill(realize(StateSpec(kind="fock", n=1)), 5, 0.1)
 
 
+# a symmetric Fock mixture whose centre maximum ties with its side peaks at
+# nbar 0.1748; at nbar 0 the side peaks are highest
+TIED_MIXTURE = (
+    0.17436676865208306,
+    0.031711055833983134,
+    0.00959145310539289,
+    0.10852600113057333,
+    0.6758047212779676,
+)
+
+
 class TestDisplaceToOrigin:
     def test_fock1_picks_positive_twin(self):
         shifted, chosen = displace_to_origin(realize(StateSpec(kind="fock", n=1)))
@@ -128,18 +140,27 @@ class TestDisplaceToOrigin:
 
     def test_centre_between_nodes_counts_as_nonnegative(self):
         # symmetric on an even node count: the centre maximum, as high as the
-        # side peaks at +-2.406 to within the global tolerance, is refined to
-        # -2.1e-14 and must still win over the side peak at +2.406
-        pops = (
-            0.17436676865208306,
-            0.031711055833983134,
-            0.00959145310539289,
-            0.10852600113057333,
-            0.6758047212779676,
-        )
-        spec = StateSpec(kind="mixture", populations=pops, thermal_nbar=0.1748046875)
-        _, chosen = displace_to_origin(realize(spec))
-        assert abs(chosen.a) <= 1e-9
+        # side peaks at +-2.406 to within the global tolerance, is placed
+        # -1.04e-8 (1.6e-6 steps) off by its off-centre peak window and must
+        # still win over the side peak at +2.406
+        spec = StateSpec(kind="mixture", populations=TIED_MIXTURE, thermal_nbar=0.1748046875)
+        d = realize(spec)
+        _, chosen = displace_to_origin(d)
+        assert abs(chosen.a) <= 1e-4 * d.x_step
+
+    @pytest.mark.parametrize(
+        "spec",
+        [StateSpec(kind="fock", n=4), StateSpec(kind="mixture", populations=TIED_MIXTURE)],
+        ids=["fock4", "tied-mixture"],
+    )
+    def test_recentring_commutes_with_pow_scale(self, spec):
+        # M copies put the maximum at sqrt(M) a with the same -(log p)''
+        d = realize(spec)
+        _, one = displace_to_origin(d)
+        for layers in range(1, 13):
+            _, chosen = displace_to_origin(pow_scale(d, 1 << layers))
+            assert chosen.a == pytest.approx(math.sqrt(1 << layers) * one.a, rel=1e-12)
+            assert chosen.kappa == pytest.approx(one.kappa, rel=1e-12)
 
 
 class TestGroundStateFilter:
@@ -239,8 +260,8 @@ class TestQuantify:
         assert report.maximum.a == pytest.approx(4.0, abs=1e-3)
         # bench/reference.py's full-line pipeline gives 0.270007114491
         assert report.min_variance == pytest.approx(0.270007114491, rel=1e-9)
-        assert report.asymptotic_variance == pytest.approx(0.250001301787, rel=1e-9)
-        assert report.efficiency == pytest.approx(0.925906349757, rel=1e-9)
+        assert report.asymptotic_variance == pytest.approx(0.249999847408, rel=1e-9)
+        assert report.efficiency == pytest.approx(0.925900963311, rel=1e-9)
         assert report.squeezing_db == pytest.approx(
             10.0 * math.log10(report.min_variance / GROUND_VARIANCE), abs=1e-12
         )
@@ -278,6 +299,12 @@ class TestQuantify:
             dict(nonuniversal_prelayers=0.5),
             dict(nonuniversal_prelayers=False),
             dict(prelayer_xbar=0.7),
+            dict(conditioning_xbar="0.5"),
+            dict(conditioning_xbar=None),
+            dict(conditioning_xbar=True),
+            dict(nonuniversal_prelayers=1, prelayer_xbar="0.5"),
+            dict(nonuniversal_prelayers=1, prelayer_xbar=None),
+            dict(nonuniversal_prelayers=1, prelayer_xbar=True),
         ],
     )
     def test_config_validation(self, cfg):
@@ -410,12 +437,15 @@ class TestFilterScan:
         vals[k] *= 1.5
         vals[k + gap] = 0.0
         p = make_grid_density(xs, vals)
-        report = quantify(p, DistillConfig(layers=layers))
         q, _ = displace_to_origin(universal_distill(p, layers))
+        t_opt, min_var = optimize_filter(q)
         h = q.x_step
-        assert report.T_opt >= 2.0 * h * h / (1.0 + 2.0 * h * h)
-        v = variance(filter_with_ground_state(q, report.T_opt))
-        assert report.min_variance == pytest.approx(v, rel=1e-10)
+        assert t_opt >= 2.0 * h * h / (1.0 + 2.0 * h * h)
+        v = variance(filter_with_ground_state(q, t_opt))
+        assert min_var == pytest.approx(v, rel=1e-10)
+        # and the many-copy limit has no meaning there
+        with pytest.raises(FlatMaximum, match="exact zero"):
+            quantify(p, DistillConfig(layers=layers))
 
 
 # --- log_interp and the normalization, bit for bit --------------------------------
