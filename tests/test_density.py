@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from subplanck.density import (
+    GLOBAL_REL_TOL,
+    PEAK_WINDOW,
     GridSpec,
     convolve_gaussian,
     curvature_at,
@@ -21,7 +23,7 @@ from subplanck.density import (
     variance,
     write_density_csv,
 )
-from subplanck.distill import asymptotic_variance
+from subplanck.distill import asymptotic_variance, displace_to_origin
 from subplanck.errors import (
     FlatMaximum,
     NegativeDensity,
@@ -219,6 +221,105 @@ class TestPeakFit:
         centres = 0.5 * (edges[1:] + edges[:-1])
         limit = asymptotic_variance(make_grid_density(centres, counts.astype(float)))
         assert abs(limit - 0.25) <= 3 * 0.035
+
+
+def loop_peak_maxima(d):
+    """Node-by-node reference for ``global_maxima``: ``np.polynomial`` fits of
+    ``log_p`` over each moved window and Newton steps on them, as
+    ``(a, value, kappa)`` tuples of the global maxima."""
+    log_p = d.log_p
+    n = log_p.shape[0]
+    offsets = np.arange(-PEAK_WINDOW, PEAK_WINDOW + 1, dtype=float)
+    top = float(np.max(log_p))
+    out = []
+    for i in range(1, n - 1):
+        y = log_p[i]
+        if not (y > log_p[i - 1] and y >= log_p[i + 1] and y >= top - 1.0):
+            continue
+        c = min(max(i, PEAK_WINDOW), n - 1 - PEAK_WINDOW)
+        window = log_p[c - PEAK_WINDOW : c + PEAK_WINDOW + 1]
+        if not np.all(np.isfinite(window)):
+            out.append((d.x_min + i * d.x_step, math.exp(y - d.norm_log), math.nan))
+            continue
+        fit = np.polynomial.Polynomial.fit(offsets, window, 4, domain=[-1, 1], window=[-1, 1])
+        slope, second = fit.deriv(1), fit.deriv(2)
+        start = s = float(i - c)
+        for _ in range(8):
+            if second(s) >= 0.0:
+                break
+            step = slope(s) / second(s)
+            s = min(max(s - step, start - 1.0), start + 1.0)
+            if abs(step) < 1e-9:
+                break
+        out.append(
+            (d.x_min + (c + s) * d.x_step, math.exp(fit(s) - d.norm_log), -second(s) / d.x_step**2)
+        )
+    floor = (1.0 - GLOBAL_REL_TOL) * max(m[1] for m in out)
+    return [m for m in out if m[1] >= floor]
+
+
+def assert_matches_loop(d, got):
+    # twins of equal height may swap places in the sort, so pair them by position
+    want = sorted(loop_peak_maxima(d))
+    assert len(got) == len(want)
+    for m, (a, value, kappa) in zip(sorted(got, key=lambda m: m.a), want):
+        assert abs(m.a - a) <= 1e-8 * d.x_step
+        assert m.value == pytest.approx(value, rel=1e-12)
+        assert m.kappa == pytest.approx(kappa, rel=1e-8, nan_ok=True)
+        assert type(m.a) is float and type(m.value) is float and type(m.kappa) is float
+
+
+LOOP_SPECS = {
+    **{
+        f"fock{n}-nbar{nbar}": StateSpec(kind="fock", n=n, thermal_nbar=nbar)
+        for n in range(1, 11)
+        for nbar in (0.0, 0.02, 0.1, 0.5, 2.0)
+    },
+    "cat": StateSpec(kind="cat", alpha=2.0),
+    "gkp": StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=SQRT_PI),
+    "mixture": StateSpec(kind="mixture", populations=(0.2, 0.5, 0.3), thermal_nbar=0.1),
+}
+
+
+class TestPeakFitMatchesLoop:
+    """The one-matmul fit of ``global_maxima`` against a per-maximum loop of
+    ``np.polynomial`` least-squares fits, on catalog and histogram densities."""
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    @pytest.mark.parametrize("name", list(LOOP_SPECS))
+    def test_matches_loop(self, name, copies):
+        d = pow_scale(realize(LOOP_SPECS[name]), copies)
+        assert_matches_loop(d, global_maxima(d))
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    def test_noisy_histogram_matches_loop(self, copies):
+        spec = StateSpec(kind="fock", n=1)
+        extent = default_grid(spec).extent
+        draws = sample_density(realize(spec), 10**6, seed=2024)
+        counts, edges = np.histogram(draws, bins=701, range=(-extent, extent))
+        centres = 0.5 * (edges[1:] + edges[:-1])
+        d = pow_scale(make_grid_density(centres, counts.astype(float)), copies)
+        assert_matches_loop(d, global_maxima(d))
+
+    def test_window_with_a_zero_matches_loop(self):
+        xs = GridSpec(10.0, 128).xs()
+        vals = np.exp(-xs * xs / 2.0)
+        vals[int(np.argmax(vals)) + 3] = 0.0
+        d = make_grid_density(xs, vals)
+        assert_matches_loop(d, global_maxima(d))
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    @pytest.mark.parametrize("name", list(LOOP_SPECS))
+    def test_displace_to_origin_picks_the_loop_choice(self, name, copies):
+        d = pow_scale(realize(LOOP_SPECS[name]), copies)
+        maxima = loop_peak_maxima(d)
+        nonneg = [m for m in maxima if m[0] >= -1e-4 * d.x_step]
+        want = min(nonneg) if nonneg else max(maxima)
+        shifted, chosen = displace_to_origin(d)
+        assert abs(chosen.a - want[0]) <= 1e-8 * d.x_step
+        assert chosen.kappa == pytest.approx(want[2], rel=1e-8)
+        # the recentred density has the chosen maximum at the origin
+        assert min(abs(m.a) for m in global_maxima(shifted)) <= 1e-12
 
 
 class TestCurvature:
