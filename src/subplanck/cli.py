@@ -400,7 +400,11 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
             lines.append(",".join([cell] + [""] * len(columns) + ['"' + row.replace('"', "'") + '"']))
         else:
             lines.append(
-                ",".join([cell] + [format(row[c], ".12g") for c in columns] + [""])
+                ",".join(
+                    [cell]
+                    + ["" if row[c] is None else format(row[c], ".12g") for c in columns]
+                    + [""]
+                )
             )
     _emit("\n".join(lines), _table_path(cfg, args))
 

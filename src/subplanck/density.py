@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     ConfigError,
@@ -292,6 +291,20 @@ def curvature_at(d: GridDensity, a: float) -> float:
     return float(curv / d.x_step**2)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest m >= n whose prime factors are all at most 11, for n >= 1.
+
+    The value of ``scipy.fft.next_fast_len(n)``, without importing scipy.
+    """
+    # m < 2n, so no prime's exponent in m exceeds k = bit_length(2n), and m
+    # divides 2310**k = (2*3*5*7*11)**k exactly when it is 11-smooth
+    smooth = 2310 ** (2 * n).bit_length()
+    m = n
+    while smooth % m:
+        m += 1
+    return m
+
+
 def convolve_gaussian(d: GridDensity, var: float) -> GridDensity:
     """Convolve with a zero-mean Gaussian of variance ``var``.
 
@@ -313,7 +326,7 @@ def convolve_gaussian(d: GridDensity, var: float) -> GridDensity:
     sigma = math.sqrt(var)
     pad = int(math.ceil(10.0 * sigma / h)) + 8
     ext = np.concatenate([np.zeros(pad), v, np.zeros(pad)])
-    nfft = scipy.fft.next_fast_len(ext.shape[0] + pad)
+    nfft = _next_fast_len(ext.shape[0] + pad)
     omega = 2.0 * math.pi * np.fft.rfftfreq(nfft, d=h)
     spec = np.fft.rfft(ext, n=nfft) * np.exp(-0.5 * var * omega**2)
     out = np.fft.irfft(spec, n=nfft)[: ext.shape[0]]

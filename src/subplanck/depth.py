@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .density import GridSpec
 from .distill import (
@@ -161,6 +160,8 @@ def thermal_fock_number_distribution(
     / (1+nbar)^(n+m+1) over k <= min(n, m): positive terms, summed in logs.
     ``cutoff`` must leave a truncation deficit below 1e-8.
     """
+    from scipy.special import gammaln
+
     if n < 0:
         raise ValueError("fock index must be nonnegative")
     if nbar < 0.0:

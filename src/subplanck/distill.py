@@ -111,14 +111,18 @@ class DistillConfig:
 
 @dataclass(frozen=True)
 class DistillReport:
-    """Outcome of one quantification run."""
+    """Outcome of one quantification run.
+
+    ``asymptotic_variance`` and ``efficiency`` are None where the chosen
+    maximum has no variance limit (:class:`FlatMaximum`).
+    """
 
     maximum: MaximumLocation
     T_opt: float
     min_variance: float
     squeezing_db: float
-    asymptotic_variance: float
-    efficiency: float
+    asymptotic_variance: float | None
+    efficiency: float | None
     is_squeezed: bool
     layers: int
     copies: int
@@ -328,13 +332,18 @@ def quantify(p: GridDensity, cfg: DistillConfig | None = None) -> DistillReport:
 
     Order: optional nonuniversal prelayer, universal layers, recentering,
     optimal ground-state filter.  The asymptotic variance is evaluated after
-    the prelayer, i.e. on the density the universal pipeline actually sees.
+    the prelayer, i.e. on the density the universal pipeline actually sees;
+    where that density has no limit, it and the efficiency are None, and the
+    filtered minimum still stands.
     """
     cfg = cfg or DistillConfig()
     work = p
     if cfg.nonuniversal_prelayers:
         work = nonuniversal_layer(work, cfg.prelayer_xbar)
-    asym = asymptotic_variance(work)
+    try:
+        asym = asymptotic_variance(work)
+    except FlatMaximum:
+        asym = None
     if cfg.conditioning_xbar != 0.0:
         distilled = binary_sequence_distill(work, cfg.layers, cfg.conditioning_xbar)
     else:
@@ -347,7 +356,7 @@ def quantify(p: GridDensity, cfg: DistillConfig | None = None) -> DistillReport:
         min_variance=min_var,
         squeezing_db=10.0 * math.log10(min_var / GROUND_VARIANCE),
         asymptotic_variance=asym,
-        efficiency=efficiency(asym, min_var),
+        efficiency=None if asym is None else efficiency(asym, min_var),
         is_squeezed=min_var < GROUND_VARIANCE - _SQUEEZE_MARGIN,
         layers=cfg.layers,
         copies=1 << cfg.layers,

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.special import eval_genlaguerre
 
 from .density import read_two_columns
 from .errors import FitDiverged, InsufficientData, InvalidPopulations
@@ -126,6 +124,8 @@ def rabi_frequencies(model: RabiModel) -> np.ndarray:
     if model.scaling == "sqrt":
         ratio = np.sqrt(ns + 1.0)
     else:
+        from scipy.special import eval_genlaguerre
+
         eta2 = model.lamb_dicke**2
         # L_n^1(eta^2)/sqrt(n+1), normalized so n = 0 gives omega01 exactly
         ratio = eval_genlaguerre(ns, 1, eta2) / np.sqrt(ns + 1.0)
@@ -176,6 +176,8 @@ def fit_populations(
     s = 1 / (1 + ||M p*||^2) > 0.  Needs finite data and at least 3 samples
     per population.
     """
+    from scipy.optimize import nnls
+
     ts = np.asarray(times, dtype=float)
     pe = np.asarray(p_excited, dtype=float)
     if ts.ndim != 1 or ts.shape != pe.shape:

@@ -16,7 +16,8 @@ import pytest
 import subplanck
 from subplanck import cli
 from subplanck.cli import canonical_json, main
-from subplanck.density import GridSpec
+from subplanck.density import GridSpec, read_density_csv
+from subplanck.distill import DistillConfig, quantify
 from subplanck.oracle import simulate_protocol
 from subplanck.phonon import RabiModel, rabi_signal
 from subplanck.states import StateSpec, realize
@@ -83,6 +84,24 @@ def rabi_trace_config(tmp_path, truth, noise=0.0):
         },
         name="fit.json",
     )
+
+
+def zero_by_the_peak_config(tmp_path, layers):
+    """A 128-bin Gaussian histogram whose tallest bin has an empty neighbour.
+
+    Its peak window holds an exact zero, so it has no many-copy limit, while
+    the resolved filter still gives a minimum variance.
+    """
+    xs = GridSpec(10.0, 128).xs()
+    vals = np.exp(-xs * xs / 2.0)
+    k = int(np.argmax(vals))
+    vals[k] *= 1.5
+    vals[k + 1] = 0.0
+    csv = tmp_path / "histogram.csv"
+    csv.write_text("".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(xs, vals)))
+    return write_config(
+        tmp_path, {"density_csv": str(csv), "pipeline": {"layers": layers}}
+    ), csv
 
 
 def run_cli(args, capsys):
@@ -481,6 +500,14 @@ class TestQuantifyCommand:
         assert outs[0] == outs[1]
         assert json.loads(outs[1])["layers"] == 2
 
+    def test_no_limit_is_reported_as_null(self, tmp_path, capsys):
+        cfg, csv = zero_by_the_peak_config(tmp_path, 4)
+        code, out, err = run_cli(["quantify", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        assert '"asymptotic_variance": null, "efficiency": null' in out
+        want = quantify(read_density_csv(str(csv)), DistillConfig(layers=4))
+        assert out == canonical_json(want.to_dict()) + "\n"
+
 
 class TestDensityCsvRoundTrip:
     def test_export_then_requantify(self, tmp_path, capsys):
@@ -711,6 +738,15 @@ class TestSweepCommand:
         assert row1[0] == "1" and row2[0] == "2"
         assert float(row2[1]) < float(row1[1])
         assert row1[-1] == "" and row2[-1] == ""
+
+    def test_no_limit_leaves_its_cells_empty(self, tmp_path, capsys):
+        cfg, _ = zero_by_the_peak_config(tmp_path, 4)
+        flags = ["--parameter", "layers_N", "--values", "0,4"]
+        code, out, err = run_cli(["sweep", "--config", cfg] + flags, capsys)
+        assert (code, err) == (0, "")
+        for line in out.splitlines()[1:]:
+            cells = line.split(",")
+            assert float(cells[1]) > 0.0 and cells[3:] == ["", "", ""]
 
     def test_error_rows_do_not_stop_the_sweep(self, tmp_path, capsys):
         cfg = write_config(
@@ -1036,8 +1072,8 @@ def declared_entry_point():
         return tomllib.load(fh)["project"]["scripts"]["subplanck"]
 
 
-def assert_fock1_report_from(command, tmp_path):
-    """Run ``command quantify`` on Fock 1 in a child process; match the report.
+def child_env():
+    """The environment of a child interpreter that imports this tree's package.
 
     The child's PYTHONPATH starts with the imported package's absolute root,
     so a relative ``PYTHONPATH=src`` still resolves and a script from another
@@ -1046,16 +1082,69 @@ def assert_fock1_report_from(command, tmp_path):
     root = str(Path(subplanck.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
+def assert_fock1_report_from(command, tmp_path):
+    """Run ``command quantify`` on Fock 1 in a child process; match the report."""
     cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 1}})
     proc = subprocess.run(
         [*command, "quantify", "--config", cfg],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == FOCK1_REPORT, proc.stderr
+
+
+# Runs each argv (a JSON list of lists in argv[1]) through main in one fresh
+# interpreter, then prints the scipy modules it loaded.
+NO_SCIPY_CHILD = """\
+import contextlib, io, json, sys
+import subplanck
+import subplanck.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = subplanck.cli.main(argv)
+    assert code == 0, (argv, code)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_commands_leave_scipy_unloaded(tmp_path):
+    # scipy costs most of a fresh command's start-up; only fit-phonons,
+    # lamb_dicke scaling and the thermal number distribution need it
+    fock1 = write_config(tmp_path, {"state": {"kind": "fock", "n": 1}}, name="fock1.json")
+    oracle = write_config(
+        tmp_path,
+        {
+            "state": {"kind": "fock", "n": 1},
+            "pipeline": {"layers": 2},
+            "oracle": {"eps": 0.05, "batches": 4},
+        },
+        name="oracle.json",
+    )
+    thermal = write_config(
+        tmp_path, {"state": {"kind": "fock", "n": 2, "nbar": 0.1}}, name="thermal.json"
+    )
+    runs = [
+        ["quantify", "--config", fock1],
+        ["quantify", "--config", thermal],
+        ["depth", "--asymptotic", "--config", fock1],
+        ["oracle", "--config", oracle],
+        ["sweep", "--config", fock1, "--parameter", "fock_n", "--values", "1,2"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n", proc.stderr
 
 
 class TestInstalledEntryPoint:

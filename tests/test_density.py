@@ -10,6 +10,7 @@ from subplanck.density import (
     GLOBAL_REL_TOL,
     PEAK_WINDOW,
     GridSpec,
+    _next_fast_len,
     convolve_gaussian,
     curvature_at,
     from_log_values,
@@ -386,6 +387,22 @@ class TestConvolution:
             / (SQRT_PI * (1.0 + 2.0 * nbar) ** 2.5)
         )
         assert np.max(np.abs(d.values() - expected)) <= 1e-6
+
+
+class TestNextFastLen:
+    """The FFT length of ``convolve_gaussian``: scipy's value, without scipy."""
+
+    def test_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        ns = range(1, 200_001)
+        assert [_next_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 11, 12, 77, 2310, 4096, 5**7, 7**6 * 11, 3**9 * 11**2, 2**30, 11**9]
+    )
+    def test_smooth_length_is_kept(self, n):
+        assert _next_fast_len(n) == n
 
 
 class TestPowScale:

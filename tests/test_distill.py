@@ -443,9 +443,13 @@ class TestFilterScan:
         assert t_opt >= 2.0 * h * h / (1.0 + 2.0 * h * h)
         v = variance(filter_with_ground_state(q, t_opt))
         assert min_var == pytest.approx(v, rel=1e-10)
-        # and the many-copy limit has no meaning there
+        # the many-copy limit has no meaning there, and quantify reports it
+        # absent while keeping the resolved filter's minimum
         with pytest.raises(FlatMaximum, match="exact zero"):
-            quantify(p, DistillConfig(layers=layers))
+            asymptotic_variance(p)
+        report = quantify(p, DistillConfig(layers=layers))
+        assert report.min_variance == min_var
+        assert report.asymptotic_variance is None and report.efficiency is None
 
 
 # --- log_interp and the normalization, bit for bit --------------------------------
