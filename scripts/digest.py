@@ -15,7 +15,10 @@ keep bit for bit:
   scalar queries;
 - ``global_maxima`` (``a``, ``value``, ``kappa`` of each) of every kind at 1
   and 16 copies, so a refactor of the peak fit can show it keeps the bytes;
-- ``quantify(...).to_dict()`` at three pipeline configs.
+- ``quantify(...).to_dict()`` at three pipeline configs;
+- ``subplanck_depth(...).to_dict()`` of Fock 1, 4 and 10 and of a tied
+  symmetric mixture with the asymptotic witness, and of Fock 1 with the
+  2-layer pipeline witness, so a change of the root finder shows.
 
 An exception is recorded by its type only, so a reworded message does not
 move the digest.  The package is imported from the ``src/`` next to this
@@ -38,6 +41,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from subplanck.density import GridSpec, global_maxima, log_interp, pow_scale  # noqa: E402
+from subplanck.depth import subplanck_depth  # noqa: E402
 from subplanck.distill import (  # noqa: E402
     DistillConfig,
     binary_sequence_distill,
@@ -70,6 +74,20 @@ LAYER_INPUTS = [
     StateSpec("cat", alpha=2.0),
     StateSpec("gkp", delta=0.3, side_peaks=1, spacing=GKP_SPACING),
     StateSpec("cubic", gamma=0.2),
+]
+# a symmetric Fock mixture whose centre maximum ties with its side peaks
+# near its asymptotic depth
+TIED_MIXTURE = (
+    0.17436676865208306,
+    0.031711055833983134,
+    0.00959145310539289,
+    0.10852600113057333,
+    0.6758047212779676,
+)
+DEPTHS = [
+    *((StateSpec("fock", n=n), None) for n in (1, 4, 10)),
+    (StateSpec("mixture", populations=TIED_MIXTURE), None),
+    (StateSpec("fock", n=1), DistillConfig(layers=2)),
 ]
 CONFIGS = [
     DistillConfig(),
@@ -147,6 +165,11 @@ def battery() -> Digest:
             digest.record(f"log_interp {spec} {name}", lambda: log_interp(p, xq))
         for cfg in CONFIGS:
             digest.record(f"quantify {spec} {cfg}", lambda: quantify(p, cfg).to_dict())
+    for spec, cfg in DEPTHS:
+        digest.record(
+            f"depth {spec} {cfg}",
+            lambda: subplanck_depth(spec, cfg, asymptotic=cfg is None).to_dict(),
+        )
     return digest
 
 

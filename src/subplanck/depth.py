@@ -5,7 +5,7 @@ Thermalization is the Gaussian-displacement channel with mean occupation
 on number statistics loss followed by quantum-limited gain, a finite sum.
 Each witness here (distillable squeezing, Wigner negativity at the origin,
 sub-Poissonian number statistics) vanishes at some occupation: squeezing
-by bisection, the other two at closed-form occupations.
+by Brent's root finder, the other two at closed-form occupations.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 _SUBPLANCK_BRACKET = (0.0, 2.0)
-_SUBPLANCK_TOL = 1e-3
+_SUBPLANCK_XTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -64,23 +64,56 @@ class DepthResult:
         }
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float):
-    """Plain bisection; returns (root, (lo, hi), iterations)."""
-    if not f_lo * f_hi < 0.0:
-        raise NoRootInBracket(f"no sign change on [{lo}, {hi}]")
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        iterations += 1
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float):
+    """Brent's zeroin (Brent 1973, ch. 4) on a sign change of ``f`` over [a, b].
+
+    ``b`` is the best estimate and ``c`` keeps the opposite sign.  Each step
+    takes the inverse quadratic or secant estimate when it stays inside the
+    bracket and shrinks it fast enough, and bisects otherwise, so a witness
+    that jumps still converges.  Stops once [b, c] is at most ``xtol`` wide;
+    returns (b, sorted (b, c), evaluations of ``f``), with the bracket
+    collapsed to (b, b) on an exact zero.
+    """
+    if not fa * fb < 0.0:
+        raise NoRootInBracket(f"no sign change on [{a}, {b}]")
+    c, fc = a, fa
+    d = e = b - a
+    tol = 0.5 * xtol
+    evaluations = 0
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0:
+            return b, (b, b), evaluations
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b, (min(b, c), max(b, c)), evaluations
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi), (lo, hi), iterations
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        evaluations += 1
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def subplanck_depth(
@@ -116,9 +149,10 @@ def subplanck_depth(
     w_hi = witness(hi)
     if w_hi <= 0.0:
         raise NoRootInBracket(f"witness still squeezed at nbar = {hi}")
-    root, bracket, iterations = _bisect(witness, lo, hi, w_lo, w_hi, _SUBPLANCK_TOL)
+    root, bracket, evaluations = _brent(witness, lo, hi, w_lo, w_hi, _SUBPLANCK_XTOL)
     label = "subplanck-asymptotic" if asymptotic else f"subplanck-N{cfg.layers}"
-    return DepthResult(root, bracket, label, iterations)
+    # the two endpoint evaluations count too
+    return DepthResult(root, bracket, label, evaluations + 2)
 
 
 def thermal_fock_wigner_origin(n: int, nbar: float) -> float:

@@ -88,23 +88,38 @@ def test_a03_fock1_asymptotic_depth():
     assert abs(r.nbar_star - 0.250) <= 1e-3
 
 
+# Converged asymptotic depths of Fock 4..10 from bench/reference.py
+# (quadrature-exact thermal densities, brentq to 1e-10).  Each one is
+# asymptotic_thermal_depth([0.0] * n + [1.0]); for n = 7, run in bench/:
+#   python -c "import reference as r; print(repr(r.asymptotic_thermal_depth([0.0] * 7 + [1.0])))"
+A04_REFERENCE_DEPTHS = {
+    4: 0.2712358836000712,
+    5: 0.2714393384052529,
+    6: 0.2712791720727156,
+    7: 0.27096297895371124,
+    8: 0.270580947494825,
+    9: 0.2701756414965282,
+    10: 0.2697681219032561,
+}
+
+
 def test_a04_depth_converges_for_high_fock():
     t0 = time.perf_counter()
     stars = {
         n: subplanck_depth(StateSpec(kind="fock", n=n), asymptotic=True).nbar_star
-        for n in range(4, 11)
+        for n in A04_REFERENCE_DEPTHS
     }
     elapsed = time.perf_counter() - t0
-    lo, hi = min(stars.values()), max(stars.values())
-    ok = 0.27 <= lo and hi <= 0.29 and elapsed < 120.0
+    worst = max(abs(star - A04_REFERENCE_DEPTHS[n]) for n, star in stars.items())
+    ok = worst <= 5e-6 and elapsed < 120.0
     report(
         "A04",
         ok,
-        f"depth for n = 4..10 in [{lo:.5f}, {hi:.5f}] (want within [0.27, 0.29]), "
+        f"depth for n = 4..10 within {worst:.1e} of the reference (want <= 5e-6), "
         f"sweep {elapsed:.1f} s",
     )
     for n, star in stars.items():
-        assert 0.27 <= star <= 0.29, (n, star)
+        assert abs(star - A04_REFERENCE_DEPTHS[n]) <= 5e-6, (n, star)
     assert elapsed < 120.0
 
 

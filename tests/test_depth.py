@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import subplanck.depth
 from subplanck.density import GridSpec, log_interp
 from subplanck.distill import quantify
 from subplanck.depth import (
+    _brent,
     fano_depth,
     subplanck_depth,
     thermal_fock_number_distribution,
     thermal_fock_wigner_origin,
     wigner_negativity_depth,
 )
-from subplanck.errors import CutoffTooSmall, NoSqueezingAtZero
+from subplanck.errors import CutoffTooSmall, NoRootInBracket, NoSqueezingAtZero
 from subplanck.states import StateSpec, realize
 
 # a symmetric Fock mixture whose centre maximum ties with its side peaks near
@@ -184,7 +186,63 @@ class TestFanoDepth:
             fano_depth(0)
 
 
+def brent(f, lo=0.0, hi=2.0, xtol=1e-6):
+    return _brent(f, lo, hi, f(lo), f(hi), xtol)
+
+
+class TestBrent:
+    @pytest.mark.parametrize(
+        "f,root",
+        [(lambda x: 3.0 * (x - 0.3), 0.3), (lambda x: x**3 - 2.0, 2.0 ** (1.0 / 3.0))],
+        ids=["linear", "cubic"],
+    )
+    def test_smooth_root(self, f, root):
+        star, (lo, hi), evaluations = brent(f)
+        assert lo <= root <= hi and star in (lo, hi)
+        assert hi - lo <= 1e-6
+        assert evaluations <= 12
+
+    def test_step_is_bracketed_to_xtol(self):
+        # secant steps stall on a jump; the bisection fallback still closes in
+        star, (lo, hi), _ = brent(lambda x: -1.0 if x < 0.3 else 1.0)
+        assert lo < 0.3 <= hi
+        assert hi - lo <= 1e-6
+
+    def test_exact_zero_collapses_the_bracket(self):
+        # the first secant step from (0, -1) and (2, 1) lands on the root
+        assert brent(lambda x: x - 1.0) == (1.0, (1.0, 1.0), 1)
+
+    @pytest.mark.parametrize(
+        "f", [lambda x: x * x + 0.25, lambda x: -x - 1.0], ids=["positive", "negative"]
+    )
+    def test_no_sign_change(self, f):
+        with pytest.raises(NoRootInBracket):
+            brent(f)
+
+
 class TestSubplanckDepth:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_fock_asymptotic_evaluations(self, n):
+        result = subplanck_depth(StateSpec(kind="fock", n=n), asymptotic=True)
+        lo, hi = result.bracket
+        assert lo <= result.nbar_star <= hi and hi - lo <= 1e-6
+        assert result.iterations <= 10
+
+    @pytest.mark.parametrize("asymptotic", [True, False])
+    def test_iterations_count_witness_evaluations(self, monkeypatch, asymptotic):
+        occupations = []
+        realize = subplanck.depth.realize
+
+        def recording_realize(spec, grid=None):
+            occupations.append(spec.thermal_nbar)
+            return realize(spec, grid)
+
+        monkeypatch.setattr(subplanck.depth, "realize", recording_realize)
+        result = subplanck_depth(StateSpec(kind="fock", n=2), asymptotic=asymptotic)
+        assert result.iterations == len(occupations)
+        assert occupations[:2] == [0.0, 2.0]
+        assert result.nbar_star in occupations
+
     def test_fock1_asymptotic_witness(self):
         # blurred twin-peak density loses its variance advantage at 1/4
         result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
@@ -198,7 +256,7 @@ class TestSubplanckDepth:
         result = subplanck_depth(StateSpec(kind="fock", n=1))
         assert result.witness == "subplanck-N4"
         lo, hi = result.bracket
-        assert hi - lo <= 1e-3
+        assert hi - lo <= 1e-6
         assert result.nbar_star > 0.25
 
         def min_var(nbar):
