@@ -32,7 +32,7 @@ from .distill import (
     quantify,
     universal_distill,
 )
-from .errors import ConfigError, PreconditionError, QuantifierError, SolverError
+from .errors import ConfigError, PreconditionError, QuantifierError, SolverError, TooFewSamples
 from .oracle import ks_distance, simulate_protocol
 from .phonon import RabiModel, fit_populations, read_rabi_csv
 from .states import STATE_KEYS, StateSpec, default_grid, realize
@@ -313,9 +313,12 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
         if xbar != 0.0
         else universal_distill(density, layers)
     )
-    run = dataclasses.replace(
-        run, ks_vs_deterministic=ks_distance(run.samples_out, reference)
-    )
+    try:
+        ks = ks_distance(run.samples_out, reference)
+    except TooFewSamples:
+        # the run stands; only its KS distance would mean nothing
+        ks = None
+    run = dataclasses.replace(run, ks_vs_deterministic=ks)
     if samples_csv is not None:
         _write_samples(samples_csv, run.samples_out)
     _emit(canonical_json(run.to_dict()), _report_path(cfg, args))

@@ -695,6 +695,18 @@ class TestOracleCommand:
         np.savetxt(reference, edge, fmt="%.17g")
         assert samples.read_bytes() == reference.read_bytes()
 
+    def test_too_few_samples_report_no_ks_distance(self, tmp_path, capsys):
+        payload = self.payload()
+        samples = tmp_path / "samples.csv"
+        payload["oracle"] = {"eps": 0.02, "batches": 1, "samples_csv": str(samples)}
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(["oracle", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert 0 < report["accepted"] < 100
+        assert report["ks_vs_deterministic"] is None
+        assert len(samples.read_text().splitlines()) == report["accepted"]
+
     def test_too_many_layers(self, tmp_path, capsys):
         payload = self.payload()
         payload["pipeline"] = {"layers": 5}

@@ -177,6 +177,52 @@ class TestCellMidpoints:
         assert np.all(np.abs(draw._draw(u[finite]) - mid[finite]) <= reach)
 
 
+class TestSlopeBound:
+    """Draws of uniforms u and v lie at least ``min_slope * |u - v|`` apart,
+    which is the bound by which the protocol's first layer drops far-apart
+    pairs before any table lookup."""
+
+    @pytest.mark.parametrize("name", list(INVERSE_CDF_DENSITIES))
+    def test_draws_rise_at_least_at_the_min_slope(self, name):
+        p = INVERSE_CDF_DENSITIES[name]()
+        xs, cdf = _cdf_nodes(p)
+        draw = _InverseCdf(xs, cdf)
+        assert 0.0 < draw._min_slope < math.inf
+        rng = np.random.default_rng([29, len(name)])
+        k = np.arange(draw._cells)
+        u = np.sort(np.concatenate((
+            [0.0],
+            cdf[cdf < 1.0],
+            k / draw._cells,
+            np.nextafter((k + 1) / draw._cells, 0.0),
+            rng.random(1 << 16),
+        )))
+        x = draw._draw(u)
+        slack = 1e-9 * max(abs(p.x_min), abs(p.x_max))
+        # neighbours test every step's own slope; random pairs, long spans
+        for a, b in ((slice(1, None), slice(None, -1)), (slice(None), rng.permutation(u.size))):
+            assert np.all(np.abs(x[a] - x[b]) + slack >= draw._min_slope * np.abs(u[a] - u[b]))
+
+    def test_bound_prunes_most_pairs(self):
+        # Fock 1 at eps 0.02: the reach of simulate_protocol at xbar 0
+        p = realize(StateSpec(kind="fock", n=1))
+        draw = _InverseCdf(*_cdf_nodes(p))
+        reach = math.sqrt(2.0) * 0.02 + 2.0 * p.x_step
+        reach += 1e-9 * (reach + 2.0 * max(abs(p.x_min), abs(p.x_max)))
+        assert reach / draw._min_slope < 0.025
+
+    def test_no_bound_keeps_every_pair(self):
+        # infinite positions give a NaN slope bound, which prunes nothing;
+        # the reach is wider than every finite midpoint difference
+        xs = np.array([-np.inf, 0.0, np.inf, np.inf, 3.0, 4.0])
+        cdf = np.array([0.0, 0.25, 0.5, 0.75, 0.75, 1.0])
+        with np.errstate(all="raise"):
+            draw = _InverseCdf(xs, cdf)
+        assert draw._min_slope == 0.0
+        got = draw.near_pairs(np.random.default_rng(3), 64, 0.0, 10.0)
+        assert_same_bytes(got, draw._draw(np.random.default_rng(3).random(64)))
+
+
 class TestSampleDensity:
     def test_ground_moments(self):
         samples = sample_density(realize(StateSpec(kind="fock", n=0)), 1_000_000, seed=1)
@@ -286,17 +332,22 @@ class TestSimulateProtocol:
 
     @pytest.mark.parametrize("name", list(INVERSE_CDF_DENSITIES))
     def test_squeeze_keeps_every_sample(self, name):
-        # the first layer, decided on cell midpoints where it can be, gives
-        # the bytes, counts and errors of drawing both batches whole
+        # the first layer, pruned on the uniforms' gap and the cell midpoints,
+        # gives the bytes, counts and errors of drawing both batches whole
         p = INVERSE_CDF_DENSITIES[name]()
         draw = _InverseCdf(*_cdf_nodes(p))
         for layers in range(1, MAX_PROTOCOL_LAYERS + 1):
             for size in (1 << layers, _CHUNK - 1, _CHUNK + 1, 5001, 1 << 17):
                 pools = [draw(np.random.default_rng([size, i]), size) for i in range(2)]
-                for xbar in (0.0, 0.7, -1.3):
-                    assert squeezed(p, layers, xbar, 0.05, size, size) == pooled_reference(
-                        pools, layers, xbar, 0.05
-                    ), (layers, size, xbar)
+                # a far condition at every depth; on the first two layers, a
+                # narrow window and one the slope bound cannot prune (eps 5.0)
+                extra = ((0.0, 1e-3), (0.0, 5.0), (3.0, 1e-3), (3.0, 5.0))
+                conditions = [(xbar, 0.05) for xbar in (0.0, 0.7, -1.3, 3.0)]
+                conditions += extra if layers <= 2 else ()
+                for xbar, eps in conditions:
+                    assert squeezed(p, layers, xbar, eps, size, size) == pooled_reference(
+                        pools, layers, xbar, eps
+                    ), (layers, size, xbar, eps)
         pools = [draw(np.random.default_rng([0, i]), 5001) for i in range(2)]
         assert pooled_reference(pools, 1, 30.0, 0.05) is NoAcceptedSamples
         assert squeezed(p, 1, 30.0, 0.05, 0, 5001) is NoAcceptedSamples
