@@ -64,8 +64,10 @@ _MAX_CONDITIONED_LAYERS = 4
 _SCAN_POINTS = np.union1d(np.geomspace(1e-4, 1.0, 64), 1.0 - np.geomspace(1e-7, 0.5, 32))
 # Rows of T exponentiated together; bounds the scan's memory at 8 x nodes.
 _SCAN_BLOCK = 8
-# Width of the final bracket on T_opt.
-_T_TOL = 1e-6
+# Brent's minimizer stops once T_opt lies within this of both ends of its
+# bracket, which holds the minimum of a curve unimodal between the scan's
+# neighbours of its best point.
+_T_TOL = 2e-8
 # Nodes this many e-folds below the peak carry no weight in a filtered moment.
 _NEGLIGIBLE = 80.0
 
@@ -242,16 +244,20 @@ def _peak_model(q: GridDensity) -> tuple[float, float, float]:
 
 
 def _filter_scan(q: GridDensity):
-    """The filtered variance of the recentred ``q`` as a function of an array of T.
+    """The filtered variance of the recentred ``q`` as a function of T: of an
+    array of T for the scan, or of one float T for the minimizer.
 
     With y = sqrt(T) x the filtered density is Q(y) exp(-(1-T) y^2 / T) on
     Q's own nodes, and Var_x(T) = Var_y(T) / T: no regrid, no interpolation.
-    Rows of T are exponentiated in blocks of ``_SCAN_BLOCK`` and reduced to
-    three trapezoid moments.  Below the resolution floor 2h^2 / (1 + 2h^2),
-    where the filter is narrower than one step, the Gaussian limit
-    1 / (2(1-T) + kappa T) holds instead, with kappa = -(log Q)'' at x = 0;
-    where that is not finite and positive (an exact zero near the peak),
-    those rows read +inf, so the optimum is a resolved filter.
+    Rows of T are exponentiated in blocks of ``_SCAN_BLOCK`` (a float T is
+    one row), each over the nodes its widest filter leaves within
+    ``_NEGLIGIBLE`` e-folds of the peak, and reduced to three trapezoid
+    moments by one matrix product.  Below the resolution floor
+    2h^2 / (1 + 2h^2), where the filter is narrower than one step, the
+    Gaussian limit 1 / (2(1-T) + kappa T) holds instead, with
+    kappa = -(log Q)'' at x = 0; where that is not finite and positive (an
+    exact zero near the peak), those rows read +inf, so the optimum is a
+    resolved filter.
     """
     floor, _, kappa = _peak_model(q)
     log_p = q.log_p
@@ -260,55 +266,123 @@ def _filter_scan(q: GridDensity):
     w[-1] *= 0.5
     # a node lies within h/2 of the maximum at 0, and above the floor
     # (1-T)/T <= 1/(2h^2), so every row peaks within 1/8 e-fold of
-    # log_p.max() and the dropped nodes weigh below e^-79 of its peak
-    keep = log_p > log_p.max() - _NEGLIGIBLE
+    # log_p.max(): shifted by it once, every exponent stays <= 0 and is
+    # rounded at its own size rather than at log Q's (-4556 for Fock 4 at
+    # 12 layers), and the nodes dropped here or by a block's window weigh
+    # below e^-79 of the row's peak
+    top = log_p.max()
+    keep = log_p > top - _NEGLIGIBLE
     ys = q.xs()[keep]
-    log_p, w = log_p[keep], w[keep]
+    log_p, w = log_p[keep] - top, w[keep]
     ys2 = ys * ys
-    wy, wy2 = w * ys, w * ys2
+    moments = np.column_stack((w, w * ys, w * ys2))
 
-    def variances(ts: np.ndarray) -> np.ndarray:
+    def gaussian_limit(ts):
         precision = 2.0 * (1.0 - ts) + kappa * ts
         limit = (precision > 0.0) & (precision < math.inf)
-        out = np.divide(1.0, precision, out=np.full(ts.shape, math.inf), where=limit)
+        return np.divide(1.0, precision, out=np.full(np.shape(ts), math.inf), where=limit)
+
+    def resolved(t):
+        # (1-T)/T y^2 > _NEGLIGIBLE + 1/8 for the widest filter of t, plus
+        # one node of slack, puts a node out of every row's reach
+        spread = (1.0 - t) / t
+        widest = np.min(spread)
+        reach = math.sqrt((_NEGLIGIBLE + 0.125) / widest) if widest > 0.0 else math.inf
+        lo, hi = np.searchsorted(ys, (-reach, reach)).tolist()
+        lo, hi = max(lo - 1, 0), hi + 1
+        a = np.multiply.outer(-spread, ys2[lo:hi])
+        a += log_p[lo:hi]
+        np.exp(a, out=a)
+        m0, m1, m2 = (a @ moments[lo:hi]).T
+        m1 = m1 / m0
+        return (m2 / m0 - m1 * m1) / t
+
+    def variances(ts):
+        if np.ndim(ts) == 0:
+            return float(resolved(ts) if ts >= floor else gaussian_limit(ts))
+        out = gaussian_limit(ts)
         rows = np.flatnonzero(ts >= floor)
         for start in range(0, rows.size, _SCAN_BLOCK):
             block = rows[start : start + _SCAN_BLOCK]
-            t = ts[block]
-            a = np.multiply.outer((t - 1.0) / t, ys2)
-            a += log_p
-            a -= a.max(axis=1, keepdims=True)
-            np.exp(a, out=a)
-            m0 = a @ w
-            m1 = (a @ wy) / m0
-            out[block] = ((a @ wy2) / m0 - m1 * m1) / t
+            out[block] = resolved(ts[block])
         return out
 
     return variances
+
+
+def _brent_min(f, a: float, b: float, x: float, fx: float, xtol: float) -> tuple[float, float]:
+    """Brent's localmin (Brent 1973, ch. 5) of ``f`` on [a, b] from ``x``, ``fx = f(x)``.
+
+    Each step takes the parabola through the three best points when its
+    vertex lies inside the bracket and the step is less than half the one
+    before last, and a golden-section step into the larger side of ``x``
+    otherwise (so ``x`` may start at an end, and a +inf value, whose
+    parabola is not finite, only shrinks the bracket).  No step is shorter
+    than ``xtol / 2``.  Stops once ``x`` lies within ``xtol`` of both ends,
+    and returns the best point and its value.
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    tol = 0.5 * xtol
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while max(x - a, b - x) > xtol:
+        xm = 0.5 * (a + b)
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        # every comparison is False on a NaN parabola, which falls to golden
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < xtol or b - x - d < xtol:
+                d = math.copysign(tol, xm - x)
+        else:
+            e = (a if x >= xm else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    return x, fx
 
 
 def optimize_filter(q: GridDensity) -> tuple[float, float]:
     """Transmissivity minimizing the filtered variance of the recentred ``q``.
 
     Scans T log-spaced over [1e-4, 1] and 1 - T log-spaced down to 1e-7, then
-    refines between the best point's neighbours with ``_SCAN_BLOCK`` evenly
-    spaced points at a time until they lie within ``_T_TOL``.  Returns
-    ``(T_opt, min_variance)``.
+    runs Brent's minimizer between the best scan point's neighbours, starting
+    from that point, until T_opt lies within ``_T_TOL`` of both ends of its
+    bracket.  Each step filters one row.  Returns ``(T_opt, min_variance)``.
     """
     variances = _filter_scan(q)
-    ts = _SCAN_POINTS
-    vs = variances(ts)
-    while True:
-        k = int(np.argmin(vs))
-        near = np.unique([max(k - 1, 0), k, min(k + 1, ts.size - 1)])
-        lo, hi = ts[near[0]], ts[near[-1]]
-        if hi - lo <= _T_TOL:
-            return float(ts[k]), float(vs[k])
-        inner = np.linspace(lo, hi, _SCAN_BLOCK + 2)[1:-1]
-        ts = np.concatenate((ts[near], inner))
-        vs = np.concatenate((vs[near], variances(inner)))
-        order = np.argsort(ts)
-        ts, vs = ts[order], vs[order]
+    ts = _SCAN_POINTS.tolist()
+    vs = variances(_SCAN_POINTS)
+    k = int(np.argmin(vs))
+    return _brent_min(
+        variances,
+        ts[max(k - 1, 0)],
+        ts[min(k + 1, len(ts) - 1)],
+        ts[k],
+        float(vs[k]),
+        _T_TOL,
+    )
 
 
 def asymptotic_variance(p: GridDensity) -> float:

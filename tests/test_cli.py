@@ -49,7 +49,7 @@ FOCK4_ASYMPTOTIC_DEPTH = (
 
 FOCK1_REPORT = (
     '{"min_variance": 0.270007114491, "squeezing_db": -2.67594796683, '
-    '"T_opt": 0.850827162241, "maximum_a": 3.99999978608, '
+    '"T_opt": 0.850827238025, "maximum_a": 3.99999978608, '
     '"asymptotic_variance": 0.249999847408, "efficiency": 0.925900963311, '
     '"is_squeezed": true, "layers": 4, "copies": 16}\n'
 )

@@ -40,7 +40,8 @@ from subplanck.errors import (
     ZeroMass,
     ZeroMassCondition,
 )
-from subplanck.states import StateSpec, realize
+from subplanck.oracle import sample_density
+from subplanck.states import StateSpec, default_grid, realize
 
 
 def gaussian(sigma2, mu=0.0, extent=10.0, nodes=4096):
@@ -333,6 +334,42 @@ class TestQuantify:
         assert calls == ["_filter_scan"]
 
 
+class TestBrentMin:
+    @staticmethod
+    def run(f, a, b, x, xtol=1e-7):
+        calls = []
+
+        def recorded(t):
+            calls.append(t)
+            return f(t)
+
+        t, v = distill._brent_min(recorded, a, b, x, f(x), xtol)
+        assert all(a <= u <= b for u in calls)
+        assert len(set(calls)) == len(calls)
+        return t, v, calls
+
+    @pytest.mark.parametrize("x", [0.1, 0.2, 0.5])
+    def test_parabola_from_inside_or_either_end(self, x):
+        t, v, calls = self.run(lambda t: (t - 0.3) ** 2 + 1.0, 0.1, 0.5, x)
+        assert abs(t - 0.3) <= 1e-7 and v == (t - 0.3) ** 2 + 1.0
+        assert len(calls) <= 10
+
+    def test_minimum_at_an_end_stays_there(self):
+        t, v, calls = self.run(lambda t: 2.0 - t, 1.0 - 1e-7, 1.0, 1.0, xtol=2e-8)
+        assert (t, v) == (1.0, 1.0)
+        assert 1 <= len(calls) <= 2
+
+    def test_infinite_values_only_shrink_the_bracket(self):
+        f = lambda t: math.inf if t < 0.25 else (t - 0.3) ** 2  # noqa: E731
+        t, v, calls = self.run(f, 0.0, 0.6, 0.5)
+        assert abs(t - 0.3) <= 1e-7 and v < 1e-13
+        assert math.inf in map(f, calls)
+
+    def test_flat_curve_stops(self):
+        t, v, calls = self.run(lambda t: 0.5, 0.2, 0.4, 0.3)
+        assert v == 0.5 and 0.2 <= t <= 0.4 and len(calls) <= 40
+
+
 # --- the filter scan against independent values ------------------------------
 
 FOUND_MIXTURE = StateSpec(
@@ -356,7 +393,57 @@ FULL_LINE = [
     (GKP_COMB, 8, 0.04499999999999999, 1.0),
     (FOUND_MIXTURE, 4, 0.5000060969870738, 1e-4),
     (FOUND_MIXTURE, 6, 0.5000060961066795, 1e-4),
+    # from bench/: python3 -c "import reference as r; d = r.distill(r.fock(3), 3);
+    # print(repr(d.min_variance), repr(d.T_opt))"
+    (StateSpec(kind="fock", n=3), 3, 0.21065744179919468, 0.7608611045118958),
 ]
+
+# states whose filter minimum must be found to roundoff at 0..8 layers:
+# shallow optima, optima near T = 1, flat ground-state curves, T_opt at the
+# scan's ends (cats at 1, the mixtures at 1e-4) and thermal states
+REFINE_BATTERY = {
+    **{f"fock{n}": StateSpec(kind="fock", n=n) for n in range(11)},
+    "thermal-fock1": StateSpec(kind="fock", n=1, thermal_nbar=0.1),
+    "thermal-fock2": StateSpec(kind="fock", n=2, thermal_nbar=0.05),
+    "thermal-fock4": StateSpec(kind="fock", n=4, thermal_nbar=0.1),
+    "thermal-fock6": StateSpec(kind="fock", n=6, thermal_nbar=0.02),
+    "cat1.5": StateSpec(kind="cat", alpha=1.5),
+    "cat2": StateSpec(kind="cat", alpha=2.0),
+    "gkp": GKP_COMB,
+    "found-mixture": FOUND_MIXTURE,
+    "tied-mixture": StateSpec(kind="mixture", populations=TIED_MIXTURE),
+    "mixture3": StateSpec(kind="mixture", populations=(0.15, 0.05, 0.2, 0.6)),
+    "mixture5": StateSpec(kind="mixture", populations=(0.3, 0.1, 0.05, 0.05, 0.1, 0.4)),
+}
+
+
+def full_width_variances(q, ts):
+    """Var_x(T) of the filtered ``q`` from every node, a per-row maximum and
+    ``np.trapezoid`` moments, one T at a time.
+
+    The row's maximum comes off log Q before the filter's exponent does, so
+    each node's exponent is rounded at its own size and not at the size of
+    log Q (-4556 for Fock 4 at 12 layers, which costs 5e-13 relative).
+    """
+    ys = q.xs()
+    out = []
+    for t in ts:
+        c = (1.0 - t) / t
+        f = np.exp((q.log_p - np.max(q.log_p - c * ys * ys)) - c * ys * ys)
+        m0 = np.trapezoid(f, dx=q.x_step)
+        m1 = np.trapezoid(f * ys, dx=q.x_step) / m0
+        out.append((np.trapezoid(f * ys * ys, dx=q.x_step) / m0 - m1 * m1) / t)
+    return np.array(out)
+
+
+def histogram_density(spec, bins, seed=3, draws=10**6):
+    """A measured-style input: a histogram of ``draws`` samples of ``spec``,
+    with empty bins (exact zeros) in its tails."""
+    extent = default_grid(spec).extent
+    samples = sample_density(realize(spec), draws, seed)
+    counts, edges = np.histogram(samples, bins=bins, range=(-extent, extent))
+    centres = 0.5 * (edges[1:] + edges[:-1])
+    return make_grid_density(centres, counts / (draws * (edges[1] - edges[0])))
 
 
 def cat_two_layer_variance(alpha):
@@ -395,6 +482,81 @@ class TestFilterScan:
         assert abs(report.min_variance - min_variance) <= 1e-7
         assert abs(report.T_opt - t_opt) <= 1e-5
         assert report.is_squeezed == (min_variance < GROUND_VARIANCE - 1e-6)
+
+    @pytest.mark.parametrize("name", list(REFINE_BATTERY))
+    def test_minimum_is_no_higher_than_a_dense_scan(self, name):
+        # the scan's rows 1e-7 apart within 2e-5 of T_opt (inside its range
+        # [1e-4, 1]) find nothing lower: the minimizer leaves no bracket
+        # behind that misses the minimum
+        p = realize(REFINE_BATTERY[name])
+        for layers in range(9):
+            q, _ = displace_to_origin(universal_distill(p, layers))
+            t_opt, min_var = optimize_filter(q)
+            ts = t_opt + np.linspace(-2e-5, 2e-5, 401)
+            ts = ts[(ts >= distill._SCAN_POINTS[0]) & (ts <= 1.0)]
+            dense = distill._filter_scan(q)(ts).min()
+            assert min_var <= dense * (1.0 + 1e-13), (layers, t_opt, min_var - dense)
+
+    @pytest.mark.parametrize("name", ["fock1", "fock4", "fock10", "thermal-fock2", "mixture3"])
+    @pytest.mark.parametrize("layers", [1, 4, 8])
+    def test_refines_in_few_rows(self, name, layers, monkeypatch):
+        # past the scan's 96 rows, the minimizer filters one row per step
+        rows = []
+        original = distill._filter_scan
+
+        def counting(q):
+            variances = original(q)
+
+            def counted(ts):
+                rows.append(np.size(ts))
+                return variances(ts)
+
+            return counted
+
+        monkeypatch.setattr(distill, "_filter_scan", counting)
+        q, _ = displace_to_origin(universal_distill(realize(REFINE_BATTERY[name]), layers))
+        optimize_filter(q)
+        assert rows[0] == distill._SCAN_POINTS.size
+        assert set(rows[1:]) == {1} and len(rows) - 1 <= 15
+
+    @pytest.mark.parametrize(
+        "spec,prelayer_xbar",
+        [
+            (StateSpec(kind="fock", n=1), None),
+            (StateSpec(kind="fock", n=4), None),
+            (StateSpec(kind="fock", n=10), None),
+            (StateSpec(kind="fock", n=2, thermal_nbar=0.1), None),
+            (StateSpec(kind="cat", alpha=2.0), None),
+            (GKP_COMB, None),
+            (FOUND_MIXTURE, None),
+            (StateSpec(kind="cubic", gamma=1.0), 5.0),
+        ],
+        ids=["fock1", "fock4", "fock10", "thermal-fock2", "cat", "gkp", "found-mixture", "cubic"],
+    )
+    @pytest.mark.parametrize("layers", [0, 4, 8, 12])
+    def test_scan_matches_full_width_moments(self, spec, prelayer_xbar, layers):
+        p = realize(spec)
+        if prelayer_xbar is not None:
+            p = nonuniversal_layer(p, prelayer_xbar)
+        self.check_scan_rows(universal_distill(p, layers))
+
+    @pytest.mark.parametrize("bins", [501, 601, 701])
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_histogram_scan_matches_full_width_moments(self, bins, layers):
+        p = histogram_density(StateSpec(kind="fock", n=2), bins)
+        assert (p.log_p == -math.inf).any()
+        self.check_scan_rows(universal_distill(p, layers))
+
+    @staticmethod
+    def check_scan_rows(distilled):
+        # the blocked scan drops far nodes, windows each block and folds the
+        # peak out once; at every scan row above the floor it must agree
+        # with the plain evaluation to roundoff
+        q, _ = displace_to_origin(distilled)
+        h = q.x_step
+        ts = distill._SCAN_POINTS[distill._SCAN_POINTS >= 2.0 * h * h / (1.0 + 2.0 * h * h)]
+        scan = distill._filter_scan(q)(ts)
+        np.testing.assert_allclose(scan, full_width_variances(q, ts), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
         "q",
