@@ -292,17 +292,22 @@ def curvature_at(d: GridDensity, a: float) -> float:
 
 
 def _next_fast_len(n: int) -> int:
-    """Smallest m >= n whose prime factors are all at most 11, for n >= 1.
+    """Smallest m >= n whose prime factors are all at most 5, for n >= 1.
 
-    The value of ``scipy.fft.next_fast_len(n)``, without importing scipy.
+    numpy's pocketfft runs these lengths fastest; a factor of 7 or 11 costs
+    it about 1.5x.
     """
     # m < 2n, so no prime's exponent in m exceeds k = bit_length(2n), and m
-    # divides 2310**k = (2*3*5*7*11)**k exactly when it is 11-smooth
-    smooth = 2310 ** (2 * n).bit_length()
+    # divides 30**k = (2*3*5)**k exactly when it is 5-smooth
+    smooth = 30 ** (2 * n).bit_length()
     m = n
     while smooth % m:
         m += 1
     return m
+
+
+# exp(-x) is exactly 0.0 in double precision for every x above this.
+_EXP_UNDERFLOW = 746.0
 
 
 def convolve_gaussian(d: GridDensity, var: float) -> GridDensity:
@@ -326,9 +331,15 @@ def convolve_gaussian(d: GridDensity, var: float) -> GridDensity:
     sigma = math.sqrt(var)
     pad = int(math.ceil(10.0 * sigma / h)) + 8
     ext = np.concatenate([np.zeros(pad), v, np.zeros(pad)])
-    nfft = _next_fast_len(ext.shape[0] + pad)
-    omega = 2.0 * math.pi * np.fft.rfftfreq(nfft, d=h)
-    spec = np.fft.rfft(ext, n=nfft) * np.exp(-0.5 * var * omega**2)
+    # the zero pads keep any circular wrap at least 10 sigma away (e^-50)
+    nfft = _next_fast_len(ext.shape[0])
+    spec = np.fft.rfft(ext, n=nfft)
+    # the characteristic function underflows to 0 above the band
+    d_omega = 2.0 * math.pi / (nfft * h)
+    band = min(spec.shape[0], int(math.sqrt(2.0 * _EXP_UNDERFLOW / var) / d_omega) + 1)
+    omega = d_omega * np.arange(band)
+    spec[:band] *= np.exp(-0.5 * var * omega**2)
+    spec[band:] = 0.0
     out = np.fft.irfft(spec, n=nfft)[: ext.shape[0]]
     np.clip(out, 0.0, None, out=out)
     with np.errstate(divide="ignore"):

@@ -5,18 +5,18 @@ Thermalization is the Gaussian-displacement channel with mean occupation
 on number statistics loss followed by quantum-limited gain, a finite sum.
 Each witness here (distillable squeezing, Wigner negativity at the origin,
 sub-Poissonian number statistics) vanishes at some occupation: squeezing
-by Brent's root finder, the other two at closed-form occupations.
+by Brent's root finder on the state realized once at nbar = 0 and blurred
+per occupation, the other two at closed-form occupations.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import GridSpec
+from .density import GridSpec, convolve_gaussian
 from .distill import (
     GROUND_VARIANCE,
     DistillConfig,
@@ -41,7 +41,12 @@ __all__ = [
     "fano_depth",
 ]
 
-_SUBPLANCK_BRACKET = (0.0, 2.0)
+# Upper ends of the root search, tried in turn until the witness is no longer
+# squeezed.  A Gaussian blur of variance nbar gives (log p)'' >= -1/nbar
+# (Brascamp & Lieb 1976), so the many-copy limit 1/kappa reaches 1/2 by
+# nbar = 1/2 for every state; the finite pipeline has no such bound.
+_ASYMPTOTIC_ENDS = (0.5, 2.0)
+_PIPELINE_ENDS = (2.0,)
 _SUBPLANCK_XTOL = 1e-6
 
 
@@ -127,32 +132,44 @@ def subplanck_depth(
     The witness is the minimal filtered variance at ``cfg.layers`` layers, or
     the many-copy variance limit when ``asymptotic`` is set.  Requires a
     state that is squeezable at zero occupation and classical by nbar = 2.
-    Every occupation is realized on ``grid``, or on the state's default grid
-    at that occupation when it is None.
+    The state is realized once, on ``grid`` or on its default grid when it is
+    None, and each occupation blurs that density: the same bytes
+    ``realize`` gives at that occupation.  The asymptotic root is searched
+    on [0, 1/2], where the limit is bound to cross, and on [1/2, 2] only if
+    the grid's numerics leave it squeezed at 1/2; the pipeline root on
+    [0, 2].  An exact zero at an upper end is the root.
     """
     if spec.thermal_nbar != 0.0:
         raise NoSqueezingAtZero("depth search needs a state specified at nbar = 0")
     cfg = cfg or DistillConfig()
+    base = realize(spec, grid)
 
     def witness(nbar: float) -> float:
-        dens = realize(dataclasses.replace(spec, thermal_nbar=float(nbar)), grid)
+        dens = convolve_gaussian(base, nbar)
         if asymptotic:
             return asymptotic_variance(dens) - GROUND_VARIANCE
         return quantify(dens, cfg).min_variance - GROUND_VARIANCE
 
-    lo, hi = _SUBPLANCK_BRACKET
-    w_lo = witness(lo)
+    label = "subplanck-asymptotic" if asymptotic else f"subplanck-N{cfg.layers}"
+    lo, w_lo = 0.0, witness(0.0)
     if w_lo >= 0.0:
         raise NoSqueezingAtZero(
             f"witness is already classical at nbar = 0 ({w_lo + GROUND_VARIANCE:.6f})"
         )
-    w_hi = witness(hi)
-    if w_hi <= 0.0:
+    ends = 1
+    for hi in _ASYMPTOTIC_ENDS if asymptotic else _PIPELINE_ENDS:
+        w_hi = witness(hi)
+        ends += 1
+        if w_hi >= 0.0:
+            break
+        lo, w_lo = hi, w_hi
+    if w_hi == 0.0:
+        return DepthResult(hi, (hi, hi), label, ends)
+    if w_hi < 0.0:
         raise NoRootInBracket(f"witness still squeezed at nbar = {hi}")
     root, bracket, evaluations = _brent(witness, lo, hi, w_lo, w_hi, _SUBPLANCK_XTOL)
-    label = "subplanck-asymptotic" if asymptotic else f"subplanck-N{cfg.layers}"
-    # the two endpoint evaluations count too
-    return DepthResult(root, bracket, label, evaluations + 2)
+    # the end evaluations count too
+    return DepthResult(root, bracket, label, evaluations + ends)
 
 
 def thermal_fock_wigner_origin(n: int, nbar: float) -> float:

@@ -242,7 +242,8 @@ def _top_level(spec: StateSpec) -> int:
 
 
 def default_grid(spec: StateSpec) -> GridSpec:
-    """Grid wide enough that the state's density decays at the edges."""
+    """Grid wide enough that the state's density at nbar = 0 decays at the
+    edges; it does not depend on ``thermal_nbar``."""
     if spec.kind in ("fock", "mixture"):
         extent = _fock_extent(_top_level(spec))
     elif spec.kind == "cat":
@@ -255,9 +256,8 @@ def default_grid(spec: StateSpec) -> GridSpec:
             extent = max(8.0, 6.0 / spec.delta + 2.0 * math.pi / spec.spacing)
     else:  # cubic
         extent = 14.0
-    # thermal blur widens the state; convolution pads further on its own
-    if spec.thermal_nbar > 0.0:
-        extent += 4.0 * math.sqrt(spec.thermal_nbar)
+    # thermal_nbar leaves the extent alone: convolve_gaussian pads 10 sigma
+    # on each side by itself, so every occupation of a state shares one grid
     return GridSpec(extent)
 
 
@@ -368,7 +368,8 @@ def realize(spec: StateSpec, grid: GridSpec | None = None) -> GridDensity:
 
     The one way to build a catalog density: on ``grid``, or on the spec's
     :func:`default_grid` when it is None.  The closed forms are unnormalized,
-    so the grid sum normalizes them.
+    so the grid sum normalizes them.  A thermal spec is the nbar = 0 density
+    on the same grid, passed through :func:`convolve_gaussian`.
     """
     angle = spec.quadrature_angle
     rotated = abs(angle - 0.5 * math.pi) < 1e-12

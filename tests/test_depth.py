@@ -1,5 +1,6 @@
 """Thermal robustness witnesses and their vanishing occupations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import subplanck.depth
 from subplanck.density import GridSpec, log_interp
-from subplanck.distill import quantify
+from subplanck.distill import GROUND_VARIANCE, asymptotic_variance, quantify
 from subplanck.depth import (
     _brent,
     fano_depth,
@@ -17,7 +18,7 @@ from subplanck.depth import (
     wigner_negativity_depth,
 )
 from subplanck.errors import CutoffTooSmall, NoRootInBracket, NoSqueezingAtZero
-from subplanck.states import StateSpec, realize
+from subplanck.states import StateSpec, default_grid, realize
 
 # a symmetric Fock mixture whose centre maximum ties with its side peaks near
 # its asymptotic depth; bench/reference.py puts that depth at REF_DEPTH
@@ -186,6 +187,28 @@ class TestFanoDepth:
             fano_depth(0)
 
 
+SQRT_PI = math.sqrt(math.pi)
+_RNG = np.random.default_rng(31)
+# catalog states, squeezable or not, and Dirichlet mixtures of 2-10 levels
+BOUND_SPECS = (
+    [StateSpec(kind="fock", n=n) for n in range(0, 11)]
+    + [
+        StateSpec(kind="cat", alpha=alpha, quadrature_angle=angle)
+        for alpha in (1.0, 2.0, 3.0)
+        for angle in (0.0, math.pi / 2)
+    ]
+    + [
+        StateSpec(kind="gkp", delta=delta, side_peaks=3, spacing=SQRT_PI, quadrature_angle=angle)
+        for delta in (0.2, 0.3, 0.4)
+        for angle in (0.0, math.pi / 2)
+    ]
+    + [
+        StateSpec(kind="mixture", populations=tuple(_RNG.dirichlet(np.ones(levels))))
+        for levels in _RNG.integers(2, 11, size=20)
+    ]
+)
+
+
 def brent(f, lo=0.0, hi=2.0, xtol=1e-6):
     return _brent(f, lo, hi, f(lo), f(hi), xtol)
 
@@ -226,21 +249,79 @@ class TestSubplanckDepth:
         result = subplanck_depth(StateSpec(kind="fock", n=n), asymptotic=True)
         lo, hi = result.bracket
         assert lo <= result.nbar_star <= hi and hi - lo <= 1e-6
-        assert result.iterations <= 10
+        assert result.iterations <= 8
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_fock_asymptotic_depth_converges(self, n):
+        spec = StateSpec(kind="fock", n=n)
+        fine = GridSpec(default_grid(spec).extent, 16384)
+        coarse_star = subplanck_depth(spec, asymptotic=True).nbar_star
+        fine_star = subplanck_depth(spec, asymptotic=True, grid=fine).nbar_star
+        assert abs(coarse_star - fine_star) <= 2e-6
+
+    @pytest.mark.parametrize("spec", BOUND_SPECS, ids=lambda s: s.kind)
+    def test_asymptotic_limit_is_classical_at_half(self, spec):
+        # a blur of variance nbar bounds kappa by 1/nbar (Brascamp-Lieb);
+        # the smallest margin, 0.02, is the GKP comb's at delta 0.2
+        dens = realize(dataclasses.replace(spec, thermal_nbar=0.5))
+        assert asymptotic_variance(dens) - GROUND_VARIANCE > 0.0
+
+    def fake_witness(self, monkeypatch, root):
+        """Make the asymptotic witness nbar - root, and record its occupations."""
+        occupations = []
+
+        def blur(d, var):
+            occupations.append(var)
+            return var
+
+        monkeypatch.setattr(subplanck.depth, "convolve_gaussian", blur)
+        monkeypatch.setattr(
+            subplanck.depth, "asymptotic_variance", lambda nbar: GROUND_VARIANCE + nbar - root
+        )
+        return occupations
+
+    def test_squeezed_at_half_falls_back_to_two(self, monkeypatch):
+        occupations = self.fake_witness(monkeypatch, 0.7)
+        result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        lo, hi = result.bracket
+        assert occupations[:3] == [0.0, 0.5, 2.0]
+        assert all(0.5 <= nbar <= 2.0 for nbar in occupations[1:])
+        assert lo <= 0.7 <= hi and hi - lo <= 1e-6
+        assert result.iterations == len(occupations)
+
+    def test_squeezed_at_two_has_no_root(self, monkeypatch):
+        occupations = self.fake_witness(monkeypatch, 2.5)
+        with pytest.raises(NoRootInBracket, match="nbar = 2.0"):
+            subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        assert occupations == [0.0, 0.5, 2.0]
+
+    def test_exact_zero_at_half_is_the_root(self, monkeypatch):
+        occupations = self.fake_witness(monkeypatch, 0.5)
+        result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        assert (result.nbar_star, result.bracket, result.iterations) == (0.5, (0.5, 0.5), 2)
+        assert occupations == [0.0, 0.5]
 
     @pytest.mark.parametrize("asymptotic", [True, False])
     def test_iterations_count_witness_evaluations(self, monkeypatch, asymptotic):
-        occupations = []
+        # the state is realized once, and each witness evaluation blurs it
+        specs, occupations = [], []
         realize = subplanck.depth.realize
+        blur = subplanck.depth.convolve_gaussian
 
         def recording_realize(spec, grid=None):
-            occupations.append(spec.thermal_nbar)
+            specs.append(spec)
             return realize(spec, grid)
 
+        def recording_blur(d, var):
+            occupations.append(var)
+            return blur(d, var)
+
         monkeypatch.setattr(subplanck.depth, "realize", recording_realize)
+        monkeypatch.setattr(subplanck.depth, "convolve_gaussian", recording_blur)
         result = subplanck_depth(StateSpec(kind="fock", n=2), asymptotic=asymptotic)
+        assert specs == [StateSpec(kind="fock", n=2)]
         assert result.iterations == len(occupations)
-        assert occupations[:2] == [0.0, 2.0]
+        assert occupations[:2] == ([0.0, 0.5] if asymptotic else [0.0, 2.0])
         assert result.nbar_star in occupations
 
     def test_fock1_asymptotic_witness(self):

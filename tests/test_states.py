@@ -10,6 +10,7 @@ from scipy.special import ai_zeros, airy
 from subplanck import states
 from subplanck.density import (
     GridSpec,
+    convolve_gaussian,
     curvature_at,
     global_maxima,
     log_interp,
@@ -31,6 +32,18 @@ from subplanck.states import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+# One spec of each kind and quadrature whose density decays at the edges of
+# its default grid, so that a thermal blur applies.
+BLURRED_SPECS = [
+    StateSpec(kind="fock", n=3),
+    StateSpec(kind="mixture", populations=(0.2, 0.5, 0.3)),
+    StateSpec(kind="cat", alpha=2.0),
+    StateSpec(kind="cat", alpha=2.0, quadrature_angle=math.pi / 2),
+    StateSpec(kind="gkp", delta=0.3, side_peaks=2, spacing=SQRT_PI),
+    StateSpec(kind="gkp", delta=0.3, side_peaks=2, spacing=SQRT_PI, quadrature_angle=math.pi / 2),
+    StateSpec(kind="cubic", gamma=1.0, quadrature_angle=math.pi / 2),
+]
 
 
 class TestAiry:
@@ -305,6 +318,25 @@ class TestRealize:
             / (SQRT_PI * (1.0 + 2.0 * nbar) ** 2.5)
         )
         assert np.max(np.abs(d.values() - expected)) <= 1e-6
+
+    @pytest.mark.parametrize("grid", [None, GridSpec(16.0, 3001)], ids=["default", "user"])
+    @pytest.mark.parametrize("spec", BLURRED_SPECS, ids=lambda s: s.kind)
+    def test_thermal_spec_is_the_blurred_cold_density(self, spec, grid):
+        # every occupation of a state shares its grid, so the depth solver
+        # may realize once and blur per occupation
+        cold = realize(spec, grid)
+        for nbar in (0.02, 0.25, 0.5, 2.0):
+            hot = realize(dataclasses.replace(spec, thermal_nbar=nbar), grid)
+            blurred = convolve_gaussian(cold, nbar)
+            assert (hot.x_min, hot.x_step, hot.norm_log) == (
+                blurred.x_min, blurred.x_step, blurred.norm_log
+            )
+            assert hot.log_p.tobytes() == blurred.log_p.tobytes()
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.3, 2.0])
+    def test_default_grid_ignores_the_occupation(self, nbar):
+        spec = StateSpec(kind="fock", n=1, thermal_nbar=nbar)
+        assert default_grid(spec) == default_grid(StateSpec(kind="fock", n=1))
 
     def test_dispatch_identity(self):
         spec = StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=SQRT_PI / 4.0)
