@@ -16,9 +16,10 @@ keep bit for bit:
 - ``global_maxima`` (``a``, ``value``, ``kappa`` of each) of every kind at 1
   and 16 copies, so a refactor of the peak fit can show it keeps the bytes;
 - ``quantify(...).to_dict()`` at three pipeline configs;
-- ``subplanck_depth(...).to_dict()`` of Fock 1, 4 and 10 and of a tied
-  symmetric mixture with the asymptotic witness, and of Fock 1 with the
-  2-layer pipeline witness, so a change of the root finder shows.
+- ``subplanck_depth(...).to_dict()`` of Fock 1, 4 and 10, of a tied
+  symmetric mixture, a cat and a GKP comb with the asymptotic witness, and
+  of Fock 1 with the 2-layer pipeline witness, so a change of the root
+  finder or of its bracket shows.
 
 An exception is recorded by its type only, so a reworded message does not
 move the digest.  The package is imported from the ``src/`` next to this
@@ -87,6 +88,8 @@ TIED_MIXTURE = (
 DEPTHS = [
     *((StateSpec("fock", n=n), None) for n in (1, 4, 10)),
     (StateSpec("mixture", populations=TIED_MIXTURE), None),
+    (StateSpec("cat", alpha=2.0), None),
+    (StateSpec("gkp", delta=0.3, side_peaks=3, spacing=math.sqrt(math.pi)), None),
     (StateSpec("fock", n=1), DistillConfig(layers=2)),
 ]
 CONFIGS = [

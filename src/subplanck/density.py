@@ -42,6 +42,7 @@ __all__ = [
     "variance",
     "global_maxima",
     "curvature_at",
+    "gaussian_blur",
     "convolve_gaussian",
     "pow_scale",
     "shift",
@@ -310,17 +311,20 @@ def _next_fast_len(n: int) -> int:
 _EXP_UNDERFLOW = 746.0
 
 
-def convolve_gaussian(d: GridDensity, var: float) -> GridDensity:
-    """Convolve with a zero-mean Gaussian of variance ``var``.
+def gaussian_blur(d: GridDensity, var_max: float):
+    """Blurs of ``d`` by zero-mean Gaussians of variance 0 to ``var_max``.
 
-    The grid is extended so the smeared tails still decay at the edges; the
-    convolution itself runs through an FFT against the exact Gaussian
-    characteristic function, which preserves normalization identically.
+    The density is padded once for ``var_max`` and transformed once; the
+    returned ``blur(var)`` multiplies that spectrum by the exact Gaussian
+    characteristic function, which preserves normalization identically, and
+    transforms back onto the input grid extended by its own variance's pad,
+    so the smeared tails still decay at the edges.  ``blur(var_max)`` is
+    :func:`convolve_gaussian` to the bit; a smaller variance matches it to
+    roundoff.  Raises :class:`InsufficientSupport` when ``d`` does not decay
+    at its edges, and ``blur`` raises ``ValueError`` outside [0, var_max].
     """
-    if var < 0.0:
+    if not var_max >= 0.0:
         raise ValueError("Gaussian variance must be nonnegative")
-    if var == 0.0:
-        return d
     v = d.values()
     vmax = float(v.max())
     if v[0] > _EDGE_DECAY_GUARD * vmax or v[-1] > _EDGE_DECAY_GUARD * vmax:
@@ -328,23 +332,42 @@ def convolve_gaussian(d: GridDensity, var: float) -> GridDensity:
             "density does not decay at the grid edges; widen the grid first"
         )
     h = d.x_step
-    sigma = math.sqrt(var)
-    pad = int(math.ceil(10.0 * sigma / h)) + 8
-    ext = np.concatenate([np.zeros(pad), v, np.zeros(pad)])
+    n = d.n_nodes
+
+    def pad_of(var: float) -> int:
+        return int(math.ceil(10.0 * math.sqrt(var) / h)) + 8
+
+    pad_max = pad_of(var_max)
     # the zero pads keep any circular wrap at least 10 sigma away (e^-50)
-    nfft = _next_fast_len(ext.shape[0])
-    spec = np.fft.rfft(ext, n=nfft)
-    # the characteristic function underflows to 0 above the band
+    nfft = _next_fast_len(n + 2 * pad_max)
+    spec = np.fft.rfft(np.concatenate([np.zeros(pad_max), v, np.zeros(pad_max)]), n=nfft)
     d_omega = 2.0 * math.pi / (nfft * h)
-    band = min(spec.shape[0], int(math.sqrt(2.0 * _EXP_UNDERFLOW / var) / d_omega) + 1)
-    omega = d_omega * np.arange(band)
-    spec[:band] *= np.exp(-0.5 * var * omega**2)
-    spec[band:] = 0.0
-    out = np.fft.irfft(spec, n=nfft)[: ext.shape[0]]
-    np.clip(out, 0.0, None, out=out)
-    with np.errstate(divide="ignore"):
-        log_out = np.log(out)
-    return from_log_values(d.x_min - pad * h, h, log_out)
+    omega_sq = (d_omega * np.arange(spec.shape[0])) ** 2
+
+    def blur(var: float) -> GridDensity:
+        if not 0.0 <= var <= var_max:
+            raise ValueError(f"Gaussian variance must lie in [0, {var_max}], got {var!r}")
+        if var == 0.0:
+            return d
+        pad = pad_of(var)
+        # the characteristic function underflows to 0 above the band
+        band = min(spec.shape[0], int(math.sqrt(2.0 * _EXP_UNDERFLOW / var) / d_omega) + 1)
+        out = np.fft.irfft(spec[:band] * np.exp(-0.5 * var * omega_sq[:band]), n=nfft)
+        out = out[pad_max - pad : pad_max + n + pad]
+        np.clip(out, 0.0, None, out=out)
+        with np.errstate(divide="ignore"):
+            log_out = np.log(out)
+        return from_log_values(d.x_min - pad * h, h, log_out)
+
+    return blur
+
+
+def convolve_gaussian(d: GridDensity, var: float) -> GridDensity:
+    """Convolve with a zero-mean Gaussian of variance ``var``: the one blur of
+    :func:`gaussian_blur` whose transform is padded for ``var`` itself."""
+    if var == 0.0:
+        return d
+    return gaussian_blur(d, var)(var)
 
 
 def pow_scale(d: GridDensity, copies: int) -> GridDensity:

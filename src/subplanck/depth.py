@@ -5,8 +5,9 @@ Thermalization is the Gaussian-displacement channel with mean occupation
 on number statistics loss followed by quantum-limited gain, a finite sum.
 Each witness here (distillable squeezing, Wigner negativity at the origin,
 sub-Poissonian number statistics) vanishes at some occupation: squeezing
-by Brent's root finder on the state realized once at nbar = 0 and blurred
-per occupation, the other two at closed-form occupations.
+by Brent's root finder on the state realized once at nbar = 0, transformed
+once per search range and blurred per occupation, the other two at
+closed-form occupations.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import GridSpec, convolve_gaussian
+from .density import GridSpec, gaussian_blur
 from .distill import (
     GROUND_VARIANCE,
     DistillConfig,
@@ -44,7 +45,9 @@ __all__ = [
 # Upper ends of the root search, tried in turn until the witness is no longer
 # squeezed.  A Gaussian blur of variance nbar gives (log p)'' >= -1/nbar
 # (Brascamp & Lieb 1976), so the many-copy limit 1/kappa reaches 1/2 by
-# nbar = 1/2 for every state; the finite pipeline has no such bound.
+# nbar = 1/2 for every state; the finite pipeline has no such bound.  The
+# asymptotic search first tries the end a Gaussian peak predicts (see
+# subplanck_depth).
 _ASYMPTOTIC_ENDS = (0.5, 2.0)
 _PIPELINE_ENDS = (2.0,)
 _SUBPLANCK_XTOL = 1e-6
@@ -133,31 +136,47 @@ def subplanck_depth(
     the many-copy variance limit when ``asymptotic`` is set.  Requires a
     state that is squeezable at zero occupation and classical by nbar = 2.
     The state is realized once, on ``grid`` or on its default grid when it is
-    None, and each occupation blurs that density: the same bytes
-    ``realize`` gives at that occupation.  The asymptotic root is searched
-    on [0, 1/2], where the limit is bound to cross, and on [1/2, 2] only if
-    the grid's numerics leave it squeezed at 1/2; the pipeline root on
-    [0, 2].  An exact zero at an upper end is the root.
+    None, and transformed once per search range (:func:`gaussian_blur`), so
+    each occupation's density equals ``realize`` at that occupation to
+    roundoff, and to the bit at the range's upper end.  The asymptotic root is
+    searched on [0, g] with g = -w(0) = 1/2 - 1/kappa(0), where a Gaussian
+    peak, whose variance adds under the blur (1/kappa(nbar) = 1/kappa(0) +
+    nbar), would cross; then on [g, 1/2], where the limit is bound to cross;
+    and on [1/2, 2] only if the grid's numerics leave it squeezed at 1/2.  The
+    pipeline root is searched on [0, 2].  An exact zero at an upper end is
+    the root.
     """
     if spec.thermal_nbar != 0.0:
         raise NoSqueezingAtZero("depth search needs a state specified at nbar = 0")
     cfg = cfg or DistillConfig()
     base = realize(spec, grid)
+    blurs = {}
 
-    def witness(nbar: float) -> float:
-        dens = convolve_gaussian(base, nbar)
+    def excess(dens) -> float:
         if asymptotic:
             return asymptotic_variance(dens) - GROUND_VARIANCE
         return quantify(dens, cfg).min_variance - GROUND_VARIANCE
 
+    def witness(nbar: float) -> float:
+        # one transform for [0, 1/2] and one for [1/2, 2], each built when
+        # first needed
+        var_max = 0.5 if asymptotic and nbar <= 0.5 else 2.0
+        if var_max not in blurs:
+            blurs[var_max] = gaussian_blur(base, var_max)
+        return excess(blurs[var_max](nbar))
+
     label = "subplanck-asymptotic" if asymptotic else f"subplanck-N{cfg.layers}"
-    lo, w_lo = 0.0, witness(0.0)
+    lo, w_lo = 0.0, excess(base)
     if w_lo >= 0.0:
         raise NoSqueezingAtZero(
             f"witness is already classical at nbar = 0 ({w_lo + GROUND_VARIANCE:.6f})"
         )
+    tops = _PIPELINE_ENDS
+    if asymptotic:
+        # the Gaussian-peak end g = -w(0), unless it lies no nearer than 1/2
+        tops = _ASYMPTOTIC_ENDS if -w_lo >= 0.5 else (-w_lo, *_ASYMPTOTIC_ENDS)
     ends = 1
-    for hi in _ASYMPTOTIC_ENDS if asymptotic else _PIPELINE_ENDS:
+    for hi in tops:
         w_hi = witness(hi)
         ends += 1
         if w_hi >= 0.0:

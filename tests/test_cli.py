@@ -36,15 +36,15 @@ layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,error
 """
 FOCK1_LAYERS_DEPTH_TABLE = """\
 layers_N,min_variance,squeezing_db,asymptotic_variance,efficiency,nbar_star,error
-1,0.337040626302,-1.71287751194,0.249999847408,0.741749889771,0.25000000151,
-2,0.30609087511,-2.1311962132,0.249999847408,0.816750408904,0.25000000151,
-3,0.284149765046,-2.45422703059,0.249999847408,0.879817188542,0.25000000151,
-4,0.270007114491,-2.67594796683,0.249999847408,0.925900963311,0.25000000151,
+1,0.337040626302,-1.71287751194,0.249999847408,0.741749889771,0.250000152592,
+2,0.30609087511,-2.1311962132,0.249999847408,0.816750408904,0.250000152592,
+3,0.284149765046,-2.45422703059,0.249999847408,0.879817188542,0.250000152592,
+4,0.270007114491,-2.67594796683,0.249999847408,0.925900963311,0.250000152592,
 """
 
 FOCK4_ASYMPTOTIC_DEPTH = (
-    '{"witness": "subplanck-asymptotic", "nbar_star": 0.271235676106, '
-    '"bracket_lo": 0.271235176106, "bracket_hi": 0.271235676106, "iterations": 8}\n'
+    '{"witness": "subplanck-asymptotic", "nbar_star": 0.271235648513, '
+    '"bracket_lo": 0.271235648513, "bracket_hi": 0.271236148513, "iterations": 7}\n'
 )
 
 FOCK1_REPORT = (
@@ -607,7 +607,7 @@ class TestDepthCommand:
         assert code == 0
         coarse_star = json.loads(coarse)["nbar_star"]
         assert abs(coarse_star - star) > 5e-6
-        assert coarse_star == 0.27177418719
+        assert coarse_star == 0.271774386574
 
     def test_classical_state_is_precondition_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 0}})

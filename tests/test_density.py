@@ -13,6 +13,7 @@ from subplanck.density import (
     _next_fast_len,
     convolve_gaussian,
     curvature_at,
+    gaussian_blur,
     from_log_values,
     global_maxima,
     log_interp,
@@ -27,6 +28,7 @@ from subplanck.density import (
 from subplanck.distill import asymptotic_variance, displace_to_origin
 from subplanck.errors import (
     FlatMaximum,
+    InsufficientSupport,
     NegativeDensity,
     NonUniformGrid,
     NoInteriorMaximum,
@@ -388,6 +390,66 @@ class TestConvolution:
         )
         assert np.max(np.abs(d.values() - expected)) <= 1e-6
 
+
+BLUR_SPECS = [
+    StateSpec(kind="fock", n=1),
+    StateSpec(kind="fock", n=7),
+    StateSpec(kind="mixture", populations=(0.2, 0.3, 0.5)),
+    StateSpec(kind="cat", alpha=2.0),
+    StateSpec(kind="cat", alpha=2.0, quadrature_angle=math.pi / 2),
+    StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=SQRT_PI),
+    StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=SQRT_PI, quadrature_angle=math.pi / 2),
+    StateSpec(kind="cubic", gamma=1.0, quadrature_angle=math.pi / 2),
+]
+
+
+class TestGaussianBlur:
+    """One transform per variance range: ``gaussian_blur(d, var_max)``."""
+
+    @pytest.mark.parametrize("spec", BLUR_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("var", [0.02, 0.5, 2.0])
+    def test_top_variance_is_convolve_gaussian_to_the_bit(self, spec, var):
+        d = realize(spec)
+        got, want = gaussian_blur(d, var)(var), convolve_gaussian(d, var)
+        assert (got.x_min, got.x_step, got.norm_log) == (want.x_min, want.x_step, want.norm_log)
+        assert got.log_p.tobytes() == want.log_p.tobytes()
+
+    @pytest.mark.parametrize("spec", BLUR_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("var_max", [0.5, 2.0])
+    def test_lower_variance_matches_its_own_convolution(self, spec, var_max):
+        # same grid; the transforms differ in length only, so the values
+        # differ by the FFT's roundoff, about 1e-15 of the peak
+        d = realize(spec)
+        blur = gaussian_blur(d, var_max)
+        for var in (1e-4, 0.01, 0.1, 0.25, 0.49, 1.0, 1.9):
+            if var >= var_max:
+                continue
+            got, want = blur(var), convolve_gaussian(d, var)
+            assert (got.x_min, got.x_step, got.n_nodes) == (want.x_min, want.x_step, want.n_nodes)
+            a, b = got.values(), want.values()
+            assert np.max(np.abs(a - b)) <= 2e-15 * b.max()
+            high = b > 1e-2 * b.max()
+            assert np.max(np.abs(a[high] / b[high] - 1.0)) <= 1e-13
+
+    def test_zero_variance_is_the_input(self):
+        d = fock1_density()
+        assert gaussian_blur(d, 0.5)(0.0) is d
+        assert gaussian_blur(d, 0.0)(0.0) is d
+
+    @pytest.mark.parametrize("var", [-1e-12, 0.5 + 1e-12, math.nan])
+    def test_variance_outside_the_range_raises(self, var):
+        blur = gaussian_blur(fock1_density(), 0.5)
+        with pytest.raises(ValueError):
+            blur(var)
+
+    def test_negative_range_raises(self):
+        with pytest.raises(ValueError):
+            gaussian_blur(fock1_density(), -0.1)
+
+    def test_edges_that_do_not_decay_raise_on_build(self):
+        # exp(-4) at the edges of a ground state on [-2, 2]
+        with pytest.raises(InsufficientSupport):
+            gaussian_blur(ground_density(extent=2.0), 0.5)
 
 def smooth5(n):
     """Whether n's prime factors are all at most 5."""

@@ -249,7 +249,9 @@ class TestSubplanckDepth:
         result = subplanck_depth(StateSpec(kind="fock", n=n), asymptotic=True)
         lo, hi = result.bracket
         assert lo <= result.nbar_star <= hi and hi - lo <= 1e-6
-        assert result.iterations <= 8
+        # the first end g = 1/2 - 1/kappa(0) lands on the root for Fock 1
+        # (kappa(0) = 4) and lies 0.03-0.12 above it for Fock 2-10
+        assert result.iterations == (3 if n == 1 else 6 if n == 2 else 7)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_fock_asymptotic_depth_converges(self, n):
@@ -266,62 +268,122 @@ class TestSubplanckDepth:
         dens = realize(dataclasses.replace(spec, thermal_nbar=0.5))
         assert asymptotic_variance(dens) - GROUND_VARIANCE > 0.0
 
-    def fake_witness(self, monkeypatch, root):
-        """Make the asymptotic witness nbar - root, and record its occupations."""
-        occupations = []
+    @pytest.mark.parametrize("spec", BOUND_SPECS[11:], ids=lambda s: s.kind)
+    def test_asymptotic_bracket_holds_on_realized_states(self, spec):
+        # the solver blurs through one transform per range; the bracket must
+        # still straddle the sign change of the limit quantify sees
+        def excess(nbar):
+            dens = realize(dataclasses.replace(spec, thermal_nbar=nbar))
+            return asymptotic_variance(dens) - GROUND_VARIANCE
 
-        def blur(d, var):
-            occupations.append(var)
-            return var
+        try:
+            lo, hi = subplanck_depth(spec, asymptotic=True).bracket
+        except NoSqueezingAtZero:
+            assert excess(0.0) >= 0.0
+            return
+        assert excess(lo) < 0.0 <= excess(hi)
 
-        monkeypatch.setattr(subplanck.depth, "convolve_gaussian", blur)
-        monkeypatch.setattr(
-            subplanck.depth, "asymptotic_variance", lambda nbar: GROUND_VARIANCE + nbar - root
-        )
-        return occupations
+    def fake_witness(self, monkeypatch, root, slope=1.0):
+        """Make the asymptotic witness slope * (nbar - root), with each
+        occupation's density the occupation itself; record the occupations
+        evaluated and the variance ranges transformed."""
+        occupations, transforms = [], []
+
+        def gaussian_blur(d, var_max):
+            transforms.append(var_max)
+            return lambda var: var
+
+        def witness(nbar):
+            occupations.append(nbar)
+            return GROUND_VARIANCE + slope * (nbar - root)
+
+        monkeypatch.setattr(subplanck.depth, "realize", lambda spec, grid=None: 0.0)
+        monkeypatch.setattr(subplanck.depth, "gaussian_blur", gaussian_blur)
+        monkeypatch.setattr(subplanck.depth, "asymptotic_variance", witness)
+        return occupations, transforms
 
     def test_squeezed_at_half_falls_back_to_two(self, monkeypatch):
-        occupations = self.fake_witness(monkeypatch, 0.7)
+        # g = -w(0) = 0.7 >= 1/2 is skipped, so 1/2 is not evaluated twice
+        occupations, transforms = self.fake_witness(monkeypatch, 0.7)
         result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
         lo, hi = result.bracket
         assert occupations[:3] == [0.0, 0.5, 2.0]
         assert all(0.5 <= nbar <= 2.0 for nbar in occupations[1:])
+        assert transforms == [0.5, 2.0]
         assert lo <= 0.7 <= hi and hi - lo <= 1e-6
         assert result.iterations == len(occupations)
 
+    def test_squeezed_at_gaussian_estimate_falls_through_to_half(self, monkeypatch):
+        # w(0) = -0.2 puts g at 0.2, still squeezed; the root lies in [0.2, 1/2]
+        occupations, transforms = self.fake_witness(monkeypatch, 0.4, slope=0.5)
+        result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        lo, hi = result.bracket
+        assert occupations[:3] == [0.0, 0.2, 0.5]
+        assert all(0.2 <= nbar <= 0.5 for nbar in occupations[1:])
+        assert transforms == [0.5]
+        assert lo <= 0.4 <= hi and hi - lo <= 1e-6
+        assert result.iterations == len(occupations)
+
+    def test_exact_zero_at_gaussian_estimate_is_the_root(self, monkeypatch):
+        occupations, _ = self.fake_witness(monkeypatch, 0.3)
+        result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        assert (result.nbar_star, result.bracket, result.iterations) == (0.3, (0.3, 0.3), 2)
+        assert occupations == [0.0, 0.3]
+
     def test_squeezed_at_two_has_no_root(self, monkeypatch):
-        occupations = self.fake_witness(monkeypatch, 2.5)
+        occupations, _ = self.fake_witness(monkeypatch, 2.5)
         with pytest.raises(NoRootInBracket, match="nbar = 2.0"):
             subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
         assert occupations == [0.0, 0.5, 2.0]
 
+    def test_squeezed_at_two_after_the_gaussian_estimate_has_no_root(self, monkeypatch):
+        # w(0) = -0.25 puts g at 0.25; every end is squeezed
+        occupations, _ = self.fake_witness(monkeypatch, 2.5, slope=0.1)
+        with pytest.raises(NoRootInBracket, match="nbar = 2.0"):
+            subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        assert occupations == [0.0, 0.25, 0.5, 2.0]
+
     def test_exact_zero_at_half_is_the_root(self, monkeypatch):
-        occupations = self.fake_witness(monkeypatch, 0.5)
+        occupations, _ = self.fake_witness(monkeypatch, 0.5)
         result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
         assert (result.nbar_star, result.bracket, result.iterations) == (0.5, (0.5, 0.5), 2)
         assert occupations == [0.0, 0.5]
 
     @pytest.mark.parametrize("asymptotic", [True, False])
     def test_iterations_count_witness_evaluations(self, monkeypatch, asymptotic):
-        # the state is realized once, and each witness evaluation blurs it
-        specs, occupations = [], []
+        # the state is realized once and transformed once; each witness
+        # evaluation past nbar = 0 blurs it
+        specs, transforms, occupations = [], [], []
         realize = subplanck.depth.realize
-        blur = subplanck.depth.convolve_gaussian
+        gaussian_blur = subplanck.depth.gaussian_blur
 
         def recording_realize(spec, grid=None):
             specs.append(spec)
             return realize(spec, grid)
 
-        def recording_blur(d, var):
-            occupations.append(var)
-            return blur(d, var)
+        def recording_gaussian_blur(d, var_max):
+            transforms.append(var_max)
+            blur = gaussian_blur(d, var_max)
+
+            def recording_blur(var):
+                occupations.append(var)
+                return blur(var)
+
+            return recording_blur
 
         monkeypatch.setattr(subplanck.depth, "realize", recording_realize)
-        monkeypatch.setattr(subplanck.depth, "convolve_gaussian", recording_blur)
-        result = subplanck_depth(StateSpec(kind="fock", n=2), asymptotic=asymptotic)
-        assert specs == [StateSpec(kind="fock", n=2)]
-        assert result.iterations == len(occupations)
-        assert occupations[:2] == ([0.0, 0.5] if asymptotic else [0.0, 2.0])
+        monkeypatch.setattr(subplanck.depth, "gaussian_blur", recording_gaussian_blur)
+        spec = StateSpec(kind="fock", n=2)
+        result = subplanck_depth(spec, asymptotic=asymptotic)
+        assert specs == [spec]
+        assert transforms == ([0.5] if asymptotic else [2.0])
+        assert result.iterations == 1 + len(occupations)
+        if asymptotic:
+            # the first end is where a Gaussian peak would cross: 1/2 - 1/kappa(0)
+            w0 = asymptotic_variance(realize(spec)) - GROUND_VARIANCE
+            assert occupations[0] == -w0
+        else:
+            assert occupations[0] == 2.0
         assert result.nbar_star in occupations
 
     def test_fock1_asymptotic_witness(self):

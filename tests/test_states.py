@@ -21,6 +21,7 @@ from subplanck.distill import asymptotic_variance
 from subplanck.errors import (
     AngleUnsupported,
     GridTooNarrow,
+    InsufficientSupport,
     InvalidPopulations,
     InvalidStateSpec,
 )
@@ -337,6 +338,17 @@ class TestRealize:
     def test_default_grid_ignores_the_occupation(self, nbar):
         spec = StateSpec(kind="fock", n=1, thermal_nbar=nbar)
         assert default_grid(spec) == default_grid(StateSpec(kind="fock", n=1))
+
+    def test_thermal_cubic_needs_a_wider_grid(self):
+        # the cubic's slow exp(-p/6) tail is still above the blur's edge
+        # guard at the default extent of 14; a wider user grid resolves it
+        spec = StateSpec(kind="cubic", gamma=1.0, thermal_nbar=0.1)
+        assert default_grid(spec) == GridSpec(14.0)
+        with pytest.raises(InsufficientSupport):
+            realize(spec)
+        d = realize(spec, GridSpec(140.0, 16384))
+        v = d.values()
+        assert max(v[0], v[-1]) <= 1e-9 * v.max()
 
     def test_dispatch_identity(self):
         spec = StateSpec(kind="gkp", delta=0.3, side_peaks=3, spacing=SQRT_PI / 4.0)
