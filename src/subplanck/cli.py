@@ -237,24 +237,15 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _report_path(cfg: RunConfig, args: argparse.Namespace) -> str | None:
-    return args.out if args.out is not None else cfg.outputs.get("report_json")
-
-
-def _table_path(cfg: RunConfig, args: argparse.Namespace) -> str | None:
-    return args.out if args.out is not None else cfg.outputs.get("table_csv")
-
-
 def cmd_quantify(cfg: RunConfig, args: argparse.Namespace) -> None:
     report = quantify(resolve_density(cfg), cfg.pipeline)
-    _emit(canonical_json(report.to_dict()), _report_path(cfg, args))
+    _emit(canonical_json(report.to_dict()), args.out)
 
 
 def cmd_export_density(cfg: RunConfig, args: argparse.Namespace) -> None:
-    path = _table_path(cfg, args)
-    if path is None:
+    if args.out is None:
         raise ConfigError("export-density needs --out or outputs.table_csv")
-    write_density_csv(resolve_density(cfg), path)
+    write_density_csv(resolve_density(cfg), args.out)
 
 
 def cmd_fit_phonons(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -262,7 +253,7 @@ def cmd_fit_phonons(cfg: RunConfig, args: argparse.Namespace) -> None:
         raise ConfigError("fit-phonons needs a rabi_csv input")
     fit = _fit_from_csv(cfg)
     payload = {"populations": [float(p) for p in fit.distribution.populations]}
-    _emit(canonical_json(payload), _report_path(cfg, args))
+    _emit(canonical_json(payload), args.out)
 
 
 def cmd_depth(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -271,6 +262,9 @@ def cmd_depth(cfg: RunConfig, args: argparse.Namespace) -> None:
         raise ConfigError(f"witness must be one of {_WITNESSES}")
     if cfg.state is None:
         raise ConfigError("depth analysis needs a parametric state input")
+    if cfg.state.thermal_nbar != 0.0:
+        # every witness solves for the occupation that thermalizes the cold state
+        raise PreconditionError("depth search needs a state specified at nbar = 0")
     if witness == "subplanck":
         asymptotic = args.asymptotic or cfg.depth.get("asymptotic", False)
         result = subplanck_depth(
@@ -283,7 +277,7 @@ def cmd_depth(cfg: RunConfig, args: argparse.Namespace) -> None:
             result = wigner_negativity_depth(cfg.state.n)
         else:
             result = fano_depth(cfg.state.n)
-    _emit(canonical_json(result.to_dict()), _report_path(cfg, args))
+    _emit(canonical_json(result.to_dict()), args.out)
 
 
 def _write_samples(path: str, samples: np.ndarray) -> None:
@@ -321,7 +315,7 @@ def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
     run = dataclasses.replace(run, ks_vs_deterministic=ks)
     if samples_csv is not None:
         _write_samples(samples_csv, run.samples_out)
-    _emit(canonical_json(run.to_dict()), _report_path(cfg, args))
+    _emit(canonical_json(run.to_dict()), args.out)
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -409,90 +403,71 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
                     + [""]
                 )
             )
-    _emit("\n".join(lines), _table_path(cfg, args))
+    _emit("\n".join(lines), args.out)
+
+
+# command -> (handler, the outputs key that --out replaces, help line)
+_COMMANDS = {
+    "quantify": (cmd_quantify, "report_json", "run the distillation pipeline, emit a report"),
+    "sweep": (cmd_sweep, "table_csv", "quantify across a parameter range"),
+    "depth": (cmd_depth, "report_json", "solve for the critical thermal occupation"),
+    "oracle": (cmd_oracle, "report_json", "Monte Carlo check of the deterministic pipeline"),
+    "fit-phonons": (cmd_fit_phonons, "report_json", "reconstruct populations from a Rabi trace"),
+    "export-density": (cmd_export_density, "table_csv", "write the resolved input density as CSV"),
+}
+# a command's own flag (by dest) -> the one command that reads it
+_OWN_FLAGS = {"parameter": "sweep", "values": "sweep", "witness": "depth", "asymptotic": "depth"}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # shared flags live on a parent so they parse before or after the
-    # subcommand; SUPPRESS keeps the subparser pass from clobbering values
-    # the root parser already consumed
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", help="path to the JSON run config")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--out", help="override the output path (default stdout)")
-    common.add_argument("--grid-nodes", type=int, help="override grid node count")
-    common.add_argument("--grid-extent", type=float, help="override grid half-width")
-
     parser = argparse.ArgumentParser(
         prog="subplanck",
-        parents=[common],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description=(
-            "Quantify sub-Planck structure in 1D quadrature densities by "
-            "distilling squeezing on a classical computer.  Quadrature units "
-            "fix the ground-state variance to 1/2; inputs must already be in "
-            "these units."
+            "Quantify sub-Planck structure in 1D quadrature densities by distilling\n"
+            "squeezing on a classical computer.  Quadrature units fix the ground-state\n"
+            "variance to 1/2; inputs must already be in these units."
         ),
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<16}{line}" for name, (_, _, line) in _COMMANDS.items()),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "quantify",
-        parents=[common],
-        help="run the distillation pipeline, emit a report",
+    parser.add_argument(
+        "command", choices=tuple(_COMMANDS), metavar="command", help="one of the commands below"
     )
-    sweep = sub.add_parser(
-        "sweep", parents=[common], help="quantify across a parameter range"
+    parser.add_argument("--config", help="path to the JSON run config")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--out", help="override the output path (default stdout)")
+    parser.add_argument("--grid-nodes", type=int, help="override grid node count")
+    parser.add_argument("--grid-extent", type=float, help="override grid half-width")
+    # every flag defaults to None, so main can tell a given flag from an absent one
+    parser.add_argument(
+        "--parameter", choices=tuple(_SWEEPS), help="sweep only: the setting to vary"
     )
-    sweep.add_argument("--parameter", choices=tuple(_SWEEPS))
-    sweep.add_argument("--values", help="comma-separated sweep values")
-    depth = sub.add_parser(
-        "depth", parents=[common], help="solve for the critical thermal occupation"
+    parser.add_argument("--values", help="sweep only: comma-separated sweep values")
+    parser.add_argument(
+        "--witness", choices=_WITNESSES, help="depth only: the witness to solve for"
     )
-    depth.add_argument("--witness", choices=_WITNESSES)
-    depth.add_argument(
+    parser.add_argument(
         "--asymptotic",
         action="store_true",
-        help="use the curvature estimate instead of the finite-N pipeline",
-    )
-    sub.add_parser(
-        "oracle",
-        parents=[common],
-        help="Monte Carlo check of the deterministic pipeline",
-    )
-    sub.add_parser(
-        "fit-phonons",
-        parents=[common],
-        help="reconstruct populations from a Rabi trace",
-    )
-    sub.add_parser(
-        "export-density",
-        parents=[common],
-        help="write the resolved input density as CSV",
+        default=None,
+        help="depth only: use the curvature estimate instead of the finite-N pipeline",
     )
     return parser
-
-
-_COMMANDS = {
-    "quantify": cmd_quantify,
-    "sweep": cmd_sweep,
-    "depth": cmd_depth,
-    "oracle": cmd_oracle,
-    "fit-phonons": cmd_fit_phonons,
-    "export-density": cmd_export_density,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the shared flags are suppressed when absent; each subcommand's own
-    # flags always carry a default
-    for name in ("config", "seed", "out", "grid_nodes", "grid_extent"):
-        if not hasattr(args, name):
-            setattr(args, name, None)
+    for dest, command in _OWN_FLAGS.items():
+        if getattr(args, dest) is not None and args.command != command:
+            parser.error(f"--{dest} applies to {command} only")
+    handler, output, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config, args)
-        _COMMANDS[args.command](cfg, args)
+        if args.out is None:  # no --out: the config's path for this command's output
+            args.out = cfg.outputs.get(output)
+        handler(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

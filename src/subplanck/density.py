@@ -181,8 +181,8 @@ def from_log_values(x_min: float, x_step: float, log_p: np.ndarray) -> GridDensi
 def make_grid_density(xs: np.ndarray, ps: np.ndarray) -> GridDensity:
     """Build a normalized density from sampled values.
 
-    :param xs: strictly increasing, uniformly spaced abscissas (>= 64 of them,
-        uniform to 1e-9 relative tolerance).
+    :param xs: finite, strictly increasing, uniformly spaced abscissas (>= 64
+        of them, uniform to 1e-9 relative tolerance).
     :param ps: nonnegative density samples; zeros are kept exact.
     """
     xs = np.asarray(xs, dtype=float)
@@ -191,6 +191,8 @@ def make_grid_density(xs: np.ndarray, ps: np.ndarray) -> GridDensity:
         raise NonUniformGrid("xs and ps must be 1D arrays of equal length")
     if xs.shape[0] < MIN_NODES:
         raise TooFewPoints(f"need at least {MIN_NODES} nodes, got {xs.shape[0]}")
+    if not np.isfinite(xs).all():
+        raise NonUniformGrid("xs must be finite")
     steps = np.diff(xs)
     h = float(np.mean(steps))
     if h <= 0.0 or np.any(steps <= 0.0):

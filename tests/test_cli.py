@@ -53,6 +53,7 @@ FOCK1_REPORT = (
     '"asymptotic_variance": 0.249999847408, "efficiency": 0.925900963311, '
     '"is_squeezed": true, "layers": 4, "copies": 16}\n'
 )
+COMMANDS = ("quantify", "sweep", "depth", "oracle", "fit-phonons", "export-density")
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -212,6 +213,37 @@ class TestConfigErrors:
         with pytest.raises(SystemExit) as exc:
             main(args + ["--workers", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags,owner,command",
+        [
+            pytest.param(flags, owner, command, id=f"{flags[0][2:]}-to-{command}")
+            for flags, owner in [
+                (["--parameter", "fock_n"], "sweep"),
+                (["--values", "1"], "sweep"),
+                (["--witness", "fano"], "depth"),
+                (["--asymptotic"], "depth"),
+            ]
+            for command in COMMANDS
+            if command != owner
+        ],
+    )
+    def test_own_flag_on_another_command(self, tmp_path, capsys, flags, owner, command):
+        cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 1}})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, *flags])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"error: {flags[0]} applies to {owner} only" in captured.err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert tuple(cli._COMMANDS) == COMMANDS
+        for name, (_, _, line) in cli._COMMANDS.items():
+            assert re.search(rf"^  {re.escape(name)} +{re.escape(line)}$", out, re.M)
 
     @pytest.mark.parametrize(
         "section,key,value",
@@ -448,6 +480,15 @@ class TestQuantifyCommand:
         _, before, _ = run_cli(["--config", cfg, "quantify"], capsys)
         _, after, _ = run_cli(["quantify", "--config", cfg], capsys)
         assert before == after == FOCK1_REPORT
+        # a command's own flags may come before it, as the shared flags may
+        for command, flags in [
+            ("sweep", ["--parameter", "layers_N", "--values", "1,2"]),
+            ("depth", ["--witness", "fano"]),
+            ("depth", ["--asymptotic"]),
+        ]:
+            before = run_cli([*flags, "--config", cfg, command], capsys)
+            after = run_cli([command, "--config", cfg, *flags], capsys)
+            assert before == after and before[0] == 0 and before[1]
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 1}})
@@ -614,6 +655,13 @@ class TestDepthCommand:
         code, _, err = run_cli(["depth", "--config", cfg, "--asymptotic"], capsys)
         assert code == 3
         assert "precondition error" in err
+
+    @pytest.mark.parametrize("witness", ["wigner", "fano", "subplanck"])
+    def test_thermal_state_is_a_precondition_error(self, tmp_path, capsys, witness):
+        cfg = write_config(tmp_path, {"state": {"kind": "fock", "n": 1, "nbar": 0.1}})
+        code, out, err = run_cli(["depth", "--config", cfg, "--witness", witness], capsys)
+        assert (code, out) == (3, "")
+        assert err == "precondition error: depth search needs a state specified at nbar = 0\n"
 
     def test_fock_only_witnesses(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"state": {"kind": "cat", "alpha": 2.0}})
@@ -1073,6 +1121,17 @@ class TestInputCsvErrors:
         got, out, err = run_cli(["quantify", "--config", cfg], capsys)
         assert got == code and out == ""
         assert str(path) in err and message in err
+
+    def test_non_finite_abscissa_row(self, tmp_path, capsys):
+        xs = GridSpec(8.0, 128).xs()
+        rows = [f"{x:.17g},{math.exp(-x * x):.17g}\n" for x in xs]
+        rows[60] = "inf,0.5\n"
+        path = tmp_path / "density.csv"
+        path.write_text("".join(rows))
+        cfg = write_config(tmp_path, {"density_csv": str(path)})
+        assert run_cli(["quantify", "--config", cfg], capsys) == (
+            3, "", "precondition error: xs must be finite\n"
+        )
 
 
 def declared_entry_point():

@@ -2,6 +2,7 @@
 log-domain power scaling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,15 @@ class TestConstruction:
         xs[200] += 1e-3
         with pytest.raises(NonUniformGrid):
             make_grid_density(xs, np.exp(-(xs**2)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_abscissa_rejected(self, bad):
+        xs = GridSpec(8.0, 512).xs().copy()
+        xs[200] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonUniformGrid, match="xs must be finite"):
+                make_grid_density(xs, np.exp(-(xs**2)))
 
     def test_zero_mass_rejected(self):
         xs = GridSpec(8.0, 512).xs()
