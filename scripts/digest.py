@@ -16,7 +16,7 @@ keep bit for bit:
 - ``global_maxima`` (``a``, ``value``, ``kappa`` of each) of every kind at 1
   and 16 copies, so a refactor of the peak fit can show it keeps the bytes;
 - ``quantify(...).to_dict()`` at three pipeline configs;
-- ``subplanck_depth(...).to_dict()`` of Fock 1, 4 and 10, of a tied
+- ``subplanck_depth(realize(...)).to_dict()`` of Fock 1, 4 and 10, of a tied
   symmetric mixture, a cat and a GKP comb with the asymptotic witness, and
   of Fock 1 with the 2-layer pipeline witness, so a change of the root
   finder or of its bracket shows.
@@ -171,7 +171,7 @@ def battery() -> Digest:
     for spec, cfg in DEPTHS:
         digest.record(
             f"depth {spec} {cfg}",
-            lambda: subplanck_depth(spec, cfg, asymptotic=cfg is None).to_dict(),
+            lambda: subplanck_depth(realize(spec), cfg, asymptotic=cfg is None).to_dict(),
         )
     return digest
 

@@ -260,18 +260,17 @@ def cmd_depth(cfg: RunConfig, args: argparse.Namespace) -> None:
     witness = args.witness or cfg.depth.get("witness", "subplanck")
     if witness not in _WITNESSES:
         raise ConfigError(f"witness must be one of {_WITNESSES}")
-    if cfg.state is None:
-        raise ConfigError("depth analysis needs a parametric state input")
-    if cfg.state.thermal_nbar != 0.0:
+    asymptotic = args.asymptotic or cfg.depth.get("asymptotic", False)
+    if asymptotic and witness != "subplanck":
+        flag = "--asymptotic" if args.asymptotic else "depth.asymptotic"
+        raise ConfigError(f"{flag} applies to the subplanck witness only, not {witness!r}")
+    if cfg.state is not None and cfg.state.thermal_nbar != 0.0:
         # every witness solves for the occupation that thermalizes the cold state
         raise PreconditionError("depth search needs a state specified at nbar = 0")
     if witness == "subplanck":
-        asymptotic = args.asymptotic or cfg.depth.get("asymptotic", False)
-        result = subplanck_depth(
-            cfg.state, cfg.pipeline, asymptotic=asymptotic, grid=_grid_for(cfg, cfg.state)
-        )
+        result = subplanck_depth(resolve_density(cfg), cfg.pipeline, asymptotic=asymptotic)
     else:
-        if cfg.state.kind != "fock":
+        if cfg.state is None or cfg.state.kind != "fock":
             raise ConfigError(f"witness {witness!r} applies to fock states only")
         if witness == "wigner":
             result = wigner_negativity_depth(cfg.state.n)
@@ -336,7 +335,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     if with_depth and parameter == "nbar":
         # the depth is itself an occupation; each point would already be thermal
         raise ConfigError("with_depth cannot be combined with an nbar sweep")
-    if with_depth and (cfg.state is None or cfg.state.thermal_nbar != 0.0):
+    if with_depth and cfg.state is not None and cfg.state.thermal_nbar != 0.0:
         raise ConfigError("with_depth needs a state input specified at nbar 0")
     if section == "state" and cfg.state is None:
         raise ConfigError(f"sweep over {parameter!r} needs a state input")
@@ -377,10 +376,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
             }
             if with_depth:
                 row["nbar_star"] = per_state(
-                    "depth",
-                    lambda: subplanck_depth(
-                        spec, pipeline, asymptotic=True, grid=_grid_for(cfg, spec)
-                    ).nbar_star,
+                    "depth", lambda: subplanck_depth(density, pipeline, asymptotic=True).nbar_star
                 )
             return row
         except (PreconditionError, SolverError, ValueError) as exc:

@@ -331,7 +331,9 @@ def gaussian_blur(d: GridDensity, var_max: float):
     vmax = float(v.max())
     if v[0] > _EDGE_DECAY_GUARD * vmax or v[-1] > _EDGE_DECAY_GUARD * vmax:
         raise InsufficientSupport(
-            "density does not decay at the grid edges; widen the grid first"
+            f"density does not decay at the grid edges: its first and last nodes hold "
+            f"{v[0] / vmax:.3g} and {v[-1] / vmax:.3g} of the peak, above the "
+            f"{_EDGE_DECAY_GUARD:g} guard"
         )
     h = d.x_step
     n = d.n_nodes

@@ -4,10 +4,10 @@ Thermalization is the Gaussian-displacement channel with mean occupation
 ``nbar``: a Gaussian blur of variance ``nbar`` on quadrature densities, and
 on number statistics loss followed by quantum-limited gain, a finite sum.
 Each witness here (distillable squeezing, Wigner negativity at the origin,
-sub-Poissonian number statistics) vanishes at some occupation: squeezing
-by Brent's root finder on the state realized once at nbar = 0, transformed
-once per search range and blurred per occupation, the other two at
-closed-form occupations.
+sub-Poissonian number statistics) vanishes at some added occupation:
+squeezing by Brent's root finder on any density, catalog or measured,
+transformed once per search range and blurred per occupation; the other two
+at closed-form occupations of a number state.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import GridSpec, gaussian_blur
+from .density import GridDensity, gaussian_blur
 from .distill import (
     GROUND_VARIANCE,
     DistillConfig,
@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .phonon import PhononDistribution, phonon_stats
-from .states import StateSpec, realize
+from .states import realize  # noqa: F401  (unused here; bench/spans.py wraps this name)
 
 __all__ = [
     "DepthResult",
@@ -125,31 +125,29 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float):
 
 
 def subplanck_depth(
-    spec: StateSpec,
+    density: GridDensity,
     cfg: DistillConfig | None = None,
     asymptotic: bool = False,
-    grid: GridSpec | None = None,
 ) -> DepthResult:
-    """Occupation at which distillable squeezing disappears.
+    """Occupation that ``density`` can take on before its squeezing disappears.
 
+    ``density`` is the input at zero added occupation: a catalog state
+    realized at nbar 0, a fitted mixture, or a measured histogram, for which
+    nbar* is the thermal noise the experiment's own state can still absorb.
     The witness is the minimal filtered variance at ``cfg.layers`` layers, or
     the many-copy variance limit when ``asymptotic`` is set.  Requires a
-    state that is squeezable at zero occupation and classical by nbar = 2.
-    The state is realized once, on ``grid`` or on its default grid when it is
-    None, and transformed once per search range (:func:`gaussian_blur`), so
-    each occupation's density equals ``realize`` at that occupation to
-    roundoff, and to the bit at the range's upper end.  The asymptotic root is
-    searched on [0, g] with g = -w(0) = 1/2 - 1/kappa(0), where a Gaussian
-    peak, whose variance adds under the blur (1/kappa(nbar) = 1/kappa(0) +
-    nbar), would cross; then on [g, 1/2], where the limit is bound to cross;
-    and on [1/2, 2] only if the grid's numerics leave it squeezed at 1/2.  The
-    pipeline root is searched on [0, 2].  An exact zero at an upper end is
-    the root.
+    density that is squeezable as given and classical by nbar = 2.  It is
+    transformed once per search range (:func:`gaussian_blur`), so each
+    occupation's density equals :func:`convolve_gaussian` at that occupation
+    to roundoff, and to the bit at the range's upper end.  The asymptotic
+    root is searched on [0, g] with g = -w(0) = 1/2 - 1/kappa(0), where a
+    Gaussian peak, whose variance adds under the blur (1/kappa(nbar) =
+    1/kappa(0) + nbar), would cross; then on [g, 1/2], where the limit is
+    bound to cross; and on [1/2, 2] only if the grid's numerics leave it
+    squeezed at 1/2.  The pipeline root is searched on [0, 2].  An exact zero
+    at an upper end is the root.
     """
-    if spec.thermal_nbar != 0.0:
-        raise NoSqueezingAtZero("depth search needs a state specified at nbar = 0")
     cfg = cfg or DistillConfig()
-    base = realize(spec, grid)
     blurs = {}
 
     def excess(dens) -> float:
@@ -162,11 +160,11 @@ def subplanck_depth(
         # first needed
         var_max = 0.5 if asymptotic and nbar <= 0.5 else 2.0
         if var_max not in blurs:
-            blurs[var_max] = gaussian_blur(base, var_max)
+            blurs[var_max] = gaussian_blur(density, var_max)
         return excess(blurs[var_max](nbar))
 
     label = "subplanck-asymptotic" if asymptotic else f"subplanck-N{cfg.layers}"
-    lo, w_lo = 0.0, excess(base)
+    lo, w_lo = 0.0, excess(density)
     if w_lo >= 0.0:
         raise NoSqueezingAtZero(
             f"witness is already classical at nbar = 0 ({w_lo + GROUND_VARIANCE:.6f})"

@@ -5,13 +5,12 @@ module actually runs the protocol on random samples, so the two routes check
 each other.  Samples are drawn by inverse transform on the trapezoid CDF;
 each layer mixes sample pairs on a balanced beamsplitter, keeps the sum port,
 and postselects the difference port inside a finite window around the
-conditioning value.  Two necessary conditions for passing the first
-layer's window, on the gap between a pair's uniforms and on its guide-table
-cell midpoints, drop most pairs before they are drawn; the window test still
-decides the rest, so the samples, counts and errors are those of drawing
-every pair, byte for byte.  Exact-point conditioning has probability zero,
-so the window width ``eps`` is the price of a physical realization and its
-bias is what the comparison measures.
+conditioning value.  A necessary condition for passing the first layer's
+window, on the gap between a pair's uniforms, drops most pairs before they
+are drawn; the window test still decides the rest, so the samples, counts
+and errors are those of drawing every pair, byte for byte.  Exact-point
+conditioning has probability zero, so the window width ``eps`` is the price
+of a physical realization and its bias is what the comparison measures.
 """
 
 from __future__ import annotations
@@ -95,9 +94,6 @@ class _InverseCdf:
     formula, its ``u == cdf[j]`` case and its NaN fallback, so the result
     equals ``np.interp`` bit for bit.
 
-    Every draw in cell c lands in ``[xs[guide[c]], xs[guide[c + 1] + 1]]``;
-    ``_mid`` holds its midpoint, NaN where it spans over two steps (as every
-    flagged cell does), so on a uniform grid a draw is within a step of it.
     Every step rises at least ``_min_slope = min(diff(xs)) / max(diff(cdf))``
     (0.0, bounding nothing, where that is not finite and positive), so the
     draws of u and v lie at least ``_min_slope * |u - v|`` apart.
@@ -108,7 +104,6 @@ class _InverseCdf:
         edges = np.arange(cells + 1) / cells
         bounds = np.searchsorted(cdf, edges, side="right") - 1
         guide = bounds[:-1]
-        right = np.minimum(bounds[1:] + 1, cdf.size - 1)
         padded = np.concatenate((cdf, [np.inf, np.inf]))
         self._cells = cells
         self._guide = guide
@@ -119,10 +114,8 @@ class _InverseCdf:
         # zero-width steps give infinite slopes, which no draw selects
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             self._slope = np.diff(xs) / np.diff(cdf)
-            mid = 0.5 * (xs[guide] + xs[right])
             min_slope = np.min(np.diff(xs)) / np.max(np.diff(cdf))
         self._min_slope = float(min_slope) if 0.0 < min_slope < math.inf else 0.0
-        self._mid = np.where((right - guide <= 2) & np.isfinite(mid), mid, np.nan)
 
     def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """The transform of ``rng.random(count)``, drawn in fixed chunks.
@@ -141,18 +134,15 @@ class _InverseCdf:
     ) -> np.ndarray:
         """Exact draws of the pairs ``(2i, 2i + 1)`` of ``rng.random(count)``,
         read in the even-sized chunks of ``__call__``, but for those whose
-        draws provably differ from ``shift`` by more than ``reach``: first by
-        uniforms over ``(|shift| + reach) / _min_slope`` apart, then, on the
-        batch's survivors, by cell midpoints (NaN keeps its pair in both)."""
+        uniforms lie over ``(|shift| + reach) / _min_slope`` apart, so that
+        their draws provably differ by more than ``reach`` from ``shift``."""
         bound = (abs(shift) + reach) / self._min_slope if self._min_slope else math.inf
         picked = []
         for lo in range(0, count, _CHUNK):
             u = rng.random(min(_CHUNK, count - lo))
             pairs = u[: u.size & ~1].reshape(-1, 2)
             picked.append(pairs.compress(~(np.abs(pairs[:, 0] - pairs[:, 1]) > bound), 0))
-        pairs = np.concatenate(picked)
-        m = self._mid[(pairs * self._cells).astype(np.intp)]
-        return self._draw(pairs.compress(~(np.abs(m[:, 0] - m[:, 1] - shift) > reach), 0).ravel())
+        return self._draw(np.concatenate(picked).ravel())
 
     def _draw(self, u: np.ndarray) -> np.ndarray:
         """``np.interp(u, cdf, xs)`` for u in [0, 1)."""
@@ -217,12 +207,11 @@ def simulate_protocol(
     the batch runs as a handful of array operations.  Batch ``index`` draws
     ``batch_size`` uniforms from its own ``(seed, index)`` stream.
 
-    The first layer is squeezed: a pair whose uniforms' gap, or else whose
-    guide-table cell midpoints, show that its draws differ from ``sqrt(2) *
-    xbar`` by more than ``sqrt(2) * eps`` plus two grid steps, and a relative
-    allowance for rounding, cannot pass the window and is never interpolated.
-    The samples, counts and errors equal those of drawing the whole batch,
-    bit for bit.
+    The first layer is squeezed: a pair whose uniforms' gap shows that its
+    draws differ from ``sqrt(2) * xbar`` by more than ``sqrt(2) * eps``, plus
+    a relative allowance for rounding, cannot pass the window and is never
+    interpolated.  The samples, counts and errors equal those of drawing the
+    whole batch, bit for bit.
     """
     if not 1 <= layers <= MAX_PROTOCOL_LAYERS:
         raise PreconditionError(
@@ -235,7 +224,7 @@ def simulate_protocol(
     _check_seed(seed)
     draw = _InverseCdf(*_cdf_nodes(p))
     shift = _SQRT2 * xbar
-    reach = _SQRT2 * eps + 2.0 * p.x_step
+    reach = _SQRT2 * eps
     reach += 1e-9 * (reach + abs(shift) + 2.0 * max(abs(p.x_min), abs(p.x_max)))
     per_attempt = 1 << layers
     kept: list[np.ndarray] = []

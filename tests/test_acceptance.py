@@ -81,7 +81,7 @@ def test_a02_fock1_asymptotics_and_thermal_concavity():
 
 
 def test_a03_fock1_asymptotic_depth():
-    r = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+    r = subplanck_depth(realize(StateSpec(kind="fock", n=1)), asymptotic=True)
     ok = abs(r.nbar_star - 0.250) <= 1e-3
     report("A03", ok, f"Fock-1 squeezing depth (asymptotic witness): nbar* = {r.nbar_star:.6f}")
     assert r.witness == "subplanck-asymptotic"
@@ -106,7 +106,7 @@ A04_REFERENCE_DEPTHS = {
 def test_a04_depth_converges_for_high_fock():
     t0 = time.perf_counter()
     stars = {
-        n: subplanck_depth(StateSpec(kind="fock", n=n), asymptotic=True).nbar_star
+        n: subplanck_depth(realize(StateSpec(kind="fock", n=n)), asymptotic=True).nbar_star
         for n in A04_REFERENCE_DEPTHS
     }
     elapsed = time.perf_counter() - t0

@@ -19,7 +19,7 @@ from subplanck.cli import canonical_json, main
 from subplanck.density import GridSpec, read_density_csv
 from subplanck.distill import DistillConfig, quantify
 from subplanck.oracle import simulate_protocol
-from subplanck.phonon import RabiModel, rabi_signal
+from subplanck.phonon import RabiModel, fit_populations, rabi_signal, read_rabi_csv
 from subplanck.states import StateSpec, realize
 
 # layers_N sweeps of a Rabi trace of Fock 1 (fitted populations) and of the
@@ -628,13 +628,13 @@ class TestDepthCommand:
         assert code == 0
         assert default == FOCK4_ASYMPTOTIC_DEPTH
         grids = []
-        realize = subplanck.depth.realize
+        realize = cli.realize
 
         def recording_realize(spec, grid=None):
             grids.append(grid)
             return realize(spec, grid)
 
-        monkeypatch.setattr(subplanck.depth, "realize", recording_realize)
+        monkeypatch.setattr(cli, "realize", recording_realize)
         flags = ["depth", "--config", cfg, "--asymptotic", "--grid-nodes", "16384"]
         code, fine, _ = run_cli(flags, capsys)
         assert code == 0
@@ -667,12 +667,73 @@ class TestDepthCommand:
         cfg = write_config(tmp_path, {"state": {"kind": "cat", "alpha": 2.0}})
         assert run_cli(["depth", "--config", cfg, "--witness", "wigner"], capsys)[0] == 2
 
-    def test_depth_needs_parametric_state(self, tmp_path, capsys):
-        csv = tmp_path / "d.csv"
-        cfg_export = write_config(tmp_path, {"state": {"kind": "fock", "n": 1}})
-        run_cli(["export-density", "--config", cfg_export, "--out", str(csv)], capsys)
-        cfg = write_config(tmp_path, {"density_csv": str(csv)}, name="fromcsv.json")
-        assert run_cli(["depth", "--config", cfg], capsys)[0] == 2
+    @pytest.mark.parametrize("witness", ["wigner", "fano"])
+    def test_asymptotic_with_a_closed_form_witness(self, tmp_path, capsys, witness):
+        flag = write_config(tmp_path, {"state": {"kind": "fock", "n": 1}})
+        code, out, err = run_cli(
+            ["depth", "--config", flag, "--witness", witness, "--asymptotic"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"config error: --asymptotic applies to the subplanck witness only, "
+            f"not {witness!r}\n"
+        )
+        section = write_config(
+            tmp_path,
+            {"state": {"kind": "fock", "n": 1},
+             "depth": {"witness": witness, "asymptotic": True}},
+            name="section.json",
+        )
+        code, out, err = run_cli(["depth", "--config", section], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"config error: depth.asymptotic applies to the subplanck witness only, "
+            f"not {witness!r}\n"
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_density_csv_depth_equals_the_state_depth(self, tmp_path, capsys, n):
+        # the asymptotic witness and the pipeline witness at N = 2
+        pipeline = {"layers": 2}
+        state = write_config(tmp_path, {"state": {"kind": "fock", "n": n}, "pipeline": pipeline})
+        csv = tmp_path / "density.csv"
+        assert run_cli(["export-density", "--config", state, "--out", str(csv)], capsys)[0] == 0
+        measured = write_config(
+            tmp_path, {"density_csv": str(csv), "pipeline": pipeline}, name="csv.json"
+        )
+        for flags in (["--asymptotic"], []):
+            from_state = run_cli(["depth", "--config", state, *flags], capsys)
+            assert from_state[0] == 0 and from_state[1]
+            assert run_cli(["depth", "--config", measured, *flags], capsys) == from_state
+
+    def test_rabi_csv_depth_equals_the_fitted_mixture_depth(self, tmp_path, capsys):
+        cfg = rabi_trace_config(tmp_path, [0.05, 0.9, 0.05], noise=0.01)
+        payload = json.loads(Path(cfg).read_text())
+        times, pe = read_rabi_csv(payload["rabi_csv"])
+        fit = fit_populations(times, pe, RabiModel(**payload["rabi_model"]))
+        populations = [float(p) for p in fit.distribution.populations]
+        mixture = write_config(
+            tmp_path, {"state": {"kind": "mixture", "populations": populations}}
+        )
+        from_trace = run_cli(["depth", "--config", cfg, "--asymptotic"], capsys)
+        assert from_trace[0] == 0 and from_trace[1]
+        assert run_cli(["depth", "--config", mixture, "--asymptotic"], capsys) == from_trace
+
+    def test_histogram_with_an_occupied_edge_bin(self, tmp_path, capsys):
+        # one stray count in the first of 128 bins of a Fock 1 histogram
+        xs = GridSpec(6.0, 128).xs()
+        counts = np.round(1e4 * xs * xs * np.exp(-xs * xs))
+        counts[0] = 1.0
+        csv = tmp_path / "histogram.csv"
+        csv.write_text("".join(f"{x:.17g},{c:.17g}\n" for x, c in zip(xs, counts)))
+        cfg = write_config(tmp_path, {"density_csv": str(csv)})
+        code, out, err = run_cli(["depth", "--config", cfg, "--asymptotic"], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "precondition error: density does not decay at the grid edges: its first "
+            f"and last nodes hold {1.0 / counts.max():.3g} and 0 of the peak, above the "
+            "1e-09 guard\n"
+        )
 
 
 class TestOracleCommand:
@@ -853,7 +914,7 @@ class TestSweepCommand:
         assert lines[0].endswith(",nbar_star,error")
         assert float(lines[1].split(",")[-2]) == pytest.approx(0.25, abs=1e-3)
 
-    def test_depth_column_uses_the_grid(self, tmp_path, capsys, monkeypatch):
+    def test_depth_column_uses_the_rows_density(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(
             tmp_path,
             {
@@ -863,19 +924,27 @@ class TestSweepCommand:
                 "sweep": {"parameter": "fock_n", "values": [1, 2], "with_depth": True},
             },
         )
-        depth_grids = []
-        subplanck_depth = cli.subplanck_depth
+        realized, depth_inputs = [], []
+        realize, subplanck_depth = cli.realize, cli.subplanck_depth
 
-        def recording_depth(spec, pipeline, asymptotic, grid):
-            depth_grids.append((spec.n, grid))
-            return subplanck_depth(spec, pipeline, asymptotic=asymptotic, grid=grid)
+        def recording_realize(spec, grid=None):
+            realized.append(realize(spec, grid))
+            return realized[-1]
 
+        def recording_depth(density, pipeline, asymptotic):
+            depth_inputs.append(density)
+            return subplanck_depth(density, pipeline, asymptotic=asymptotic)
+
+        monkeypatch.setattr(cli, "realize", recording_realize)
         monkeypatch.setattr(cli, "subplanck_depth", recording_depth)
         code, _, _ = run_cli(
             ["sweep", "--config", cfg, "--grid-extent", "13"], capsys
         )
         assert code == 0
-        assert depth_grids == [(1, GridSpec(13.0, 2048)), (2, GridSpec(13.0, 2048))]
+        # one realize per row, on the configured grid, and its density is the
+        # one the depth solver blurs
+        assert depth_inputs == realized
+        assert [(d.x_min, d.n_nodes) for d in realized] == [(-13.0, 2048)] * 2
 
     def test_nbar_sweep_rejects_depth(self, tmp_path, capsys):
         cfg = write_config(
@@ -889,25 +958,34 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert "with_depth" in err
 
-    @pytest.mark.parametrize(
-        "source,parameter",
-        [("density_csv", "layers_N"), ("rabi_csv", "layers_N"), ("thermal", "fock_n")],
-    )
-    def test_depth_needs_a_state_at_zero_nbar(self, tmp_path, capsys, source, parameter):
-        if source == "density_csv":
-            csv = tmp_path / "density.csv"
-            xs = np.linspace(-6.0, 6.0, 256)
-            csv.write_text("".join(f"{x},{math.exp(-x * x)}\n" for x in xs))
-            payload = {"density_csv": str(csv)}
-        elif source == "rabi_csv":
-            payload = json.loads(Path(rabi_trace_config(tmp_path, [0.0, 1.0, 0.0])).read_text())
-        else:
-            payload = {"state": {"kind": "fock", "n": 1, "nbar": 0.1}}
-        payload["sweep"] = {"parameter": parameter, "values": [1, 2], "with_depth": True}
+    def test_depth_needs_a_state_at_zero_nbar(self, tmp_path, capsys):
+        payload = {
+            "state": {"kind": "fock", "n": 1, "nbar": 0.1},
+            "sweep": {"parameter": "fock_n", "values": [1, 2], "with_depth": True},
+        }
         cfg = write_config(tmp_path, payload)
         code, out, err = run_cli(["sweep", "--config", cfg], capsys)
         assert code == 2 and out == ""
         assert "with_depth needs a state input specified at nbar 0" in err
+
+    @pytest.mark.parametrize("source", ["density_csv", "rabi_csv"])
+    def test_depth_column_of_a_measured_input(self, tmp_path, capsys, source):
+        if source == "density_csv":
+            state = write_config(tmp_path, {"state": {"kind": "fock", "n": 1}}, name="state.json")
+            csv = tmp_path / "density.csv"
+            run_cli(["export-density", "--config", state, "--out", str(csv)], capsys)
+            payload = {"density_csv": str(csv)}
+        else:
+            payload = json.loads(Path(rabi_trace_config(tmp_path, [0.0, 1.0, 0.0])).read_text())
+        cfg = write_config(tmp_path, payload)
+        code, depth, _ = run_cli(["depth", "--config", cfg, "--asymptotic"], capsys)
+        assert code == 0
+        payload["sweep"] = {"parameter": "layers_N", "values": [1, 2], "with_depth": True}
+        cfg = write_config(tmp_path, payload, name="sweep.json")
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        star = format(json.loads(depth)["nbar_star"], ".12g")
+        assert [line.split(",")[-2] for line in out.splitlines()[1:]] == [star, star]
 
     def test_layers_sweep_resolves_input_and_depth_once(
         self, tmp_path, capsys, monkeypatch

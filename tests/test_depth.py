@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import subplanck.depth
-from subplanck.density import GridSpec, log_interp
+from subplanck.density import GridSpec, log_interp, make_grid_density
 from subplanck.distill import GROUND_VARIANCE, asymptotic_variance, quantify
 from subplanck.depth import (
     _brent,
@@ -18,6 +18,7 @@ from subplanck.depth import (
     wigner_negativity_depth,
 )
 from subplanck.errors import CutoffTooSmall, NoRootInBracket, NoSqueezingAtZero
+from subplanck.oracle import sample_density
 from subplanck.states import StateSpec, default_grid, realize
 
 # a symmetric Fock mixture whose centre maximum ties with its side peaks near
@@ -246,7 +247,7 @@ class TestBrent:
 class TestSubplanckDepth:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_fock_asymptotic_evaluations(self, n):
-        result = subplanck_depth(StateSpec(kind="fock", n=n), asymptotic=True)
+        result = subplanck_depth(realize(StateSpec(kind="fock", n=n)), asymptotic=True)
         lo, hi = result.bracket
         assert lo <= result.nbar_star <= hi and hi - lo <= 1e-6
         # the first end g = 1/2 - 1/kappa(0) lands on the root for Fock 1
@@ -257,8 +258,8 @@ class TestSubplanckDepth:
     def test_fock_asymptotic_depth_converges(self, n):
         spec = StateSpec(kind="fock", n=n)
         fine = GridSpec(default_grid(spec).extent, 16384)
-        coarse_star = subplanck_depth(spec, asymptotic=True).nbar_star
-        fine_star = subplanck_depth(spec, asymptotic=True, grid=fine).nbar_star
+        coarse_star = subplanck_depth(realize(spec), asymptotic=True).nbar_star
+        fine_star = subplanck_depth(realize(spec, fine), asymptotic=True).nbar_star
         assert abs(coarse_star - fine_star) <= 2e-6
 
     @pytest.mark.parametrize("spec", BOUND_SPECS, ids=lambda s: s.kind)
@@ -277,7 +278,7 @@ class TestSubplanckDepth:
             return asymptotic_variance(dens) - GROUND_VARIANCE
 
         try:
-            lo, hi = subplanck_depth(spec, asymptotic=True).bracket
+            lo, hi = subplanck_depth(realize(spec), asymptotic=True).bracket
         except NoSqueezingAtZero:
             assert excess(0.0) >= 0.0
             return
@@ -285,8 +286,9 @@ class TestSubplanckDepth:
 
     def fake_witness(self, monkeypatch, root, slope=1.0):
         """Make the asymptotic witness slope * (nbar - root), with each
-        occupation's density the occupation itself; record the occupations
-        evaluated and the variance ranges transformed."""
+        occupation's density the occupation itself, so the solve starts from
+        the density 0.0; record the occupations evaluated and the variance
+        ranges transformed."""
         occupations, transforms = [], []
 
         def gaussian_blur(d, var_max):
@@ -297,7 +299,6 @@ class TestSubplanckDepth:
             occupations.append(nbar)
             return GROUND_VARIANCE + slope * (nbar - root)
 
-        monkeypatch.setattr(subplanck.depth, "realize", lambda spec, grid=None: 0.0)
         monkeypatch.setattr(subplanck.depth, "gaussian_blur", gaussian_blur)
         monkeypatch.setattr(subplanck.depth, "asymptotic_variance", witness)
         return occupations, transforms
@@ -305,7 +306,7 @@ class TestSubplanckDepth:
     def test_squeezed_at_half_falls_back_to_two(self, monkeypatch):
         # g = -w(0) = 0.7 >= 1/2 is skipped, so 1/2 is not evaluated twice
         occupations, transforms = self.fake_witness(monkeypatch, 0.7)
-        result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        result = subplanck_depth(0.0, asymptotic=True)
         lo, hi = result.bracket
         assert occupations[:3] == [0.0, 0.5, 2.0]
         assert all(0.5 <= nbar <= 2.0 for nbar in occupations[1:])
@@ -316,7 +317,7 @@ class TestSubplanckDepth:
     def test_squeezed_at_gaussian_estimate_falls_through_to_half(self, monkeypatch):
         # w(0) = -0.2 puts g at 0.2, still squeezed; the root lies in [0.2, 1/2]
         occupations, transforms = self.fake_witness(monkeypatch, 0.4, slope=0.5)
-        result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        result = subplanck_depth(0.0, asymptotic=True)
         lo, hi = result.bracket
         assert occupations[:3] == [0.0, 0.2, 0.5]
         assert all(0.2 <= nbar <= 0.5 for nbar in occupations[1:])
@@ -326,40 +327,35 @@ class TestSubplanckDepth:
 
     def test_exact_zero_at_gaussian_estimate_is_the_root(self, monkeypatch):
         occupations, _ = self.fake_witness(monkeypatch, 0.3)
-        result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        result = subplanck_depth(0.0, asymptotic=True)
         assert (result.nbar_star, result.bracket, result.iterations) == (0.3, (0.3, 0.3), 2)
         assert occupations == [0.0, 0.3]
 
     def test_squeezed_at_two_has_no_root(self, monkeypatch):
         occupations, _ = self.fake_witness(monkeypatch, 2.5)
         with pytest.raises(NoRootInBracket, match="nbar = 2.0"):
-            subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+            subplanck_depth(0.0, asymptotic=True)
         assert occupations == [0.0, 0.5, 2.0]
 
     def test_squeezed_at_two_after_the_gaussian_estimate_has_no_root(self, monkeypatch):
         # w(0) = -0.25 puts g at 0.25; every end is squeezed
         occupations, _ = self.fake_witness(monkeypatch, 2.5, slope=0.1)
         with pytest.raises(NoRootInBracket, match="nbar = 2.0"):
-            subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+            subplanck_depth(0.0, asymptotic=True)
         assert occupations == [0.0, 0.25, 0.5, 2.0]
 
     def test_exact_zero_at_half_is_the_root(self, monkeypatch):
         occupations, _ = self.fake_witness(monkeypatch, 0.5)
-        result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        result = subplanck_depth(0.0, asymptotic=True)
         assert (result.nbar_star, result.bracket, result.iterations) == (0.5, (0.5, 0.5), 2)
         assert occupations == [0.0, 0.5]
 
     @pytest.mark.parametrize("asymptotic", [True, False])
     def test_iterations_count_witness_evaluations(self, monkeypatch, asymptotic):
-        # the state is realized once and transformed once; each witness
-        # evaluation past nbar = 0 blurs it
-        specs, transforms, occupations = [], [], []
-        realize = subplanck.depth.realize
+        # the density is transformed once; each witness evaluation past
+        # nbar = 0 blurs it
+        transforms, occupations = [], []
         gaussian_blur = subplanck.depth.gaussian_blur
-
-        def recording_realize(spec, grid=None):
-            specs.append(spec)
-            return realize(spec, grid)
 
         def recording_gaussian_blur(d, var_max):
             transforms.append(var_max)
@@ -371,16 +367,14 @@ class TestSubplanckDepth:
 
             return recording_blur
 
-        monkeypatch.setattr(subplanck.depth, "realize", recording_realize)
         monkeypatch.setattr(subplanck.depth, "gaussian_blur", recording_gaussian_blur)
-        spec = StateSpec(kind="fock", n=2)
-        result = subplanck_depth(spec, asymptotic=asymptotic)
-        assert specs == [spec]
+        fock2 = realize(StateSpec(kind="fock", n=2))
+        result = subplanck_depth(fock2, asymptotic=asymptotic)
         assert transforms == ([0.5] if asymptotic else [2.0])
         assert result.iterations == 1 + len(occupations)
         if asymptotic:
             # the first end is where a Gaussian peak would cross: 1/2 - 1/kappa(0)
-            w0 = asymptotic_variance(realize(spec)) - GROUND_VARIANCE
+            w0 = asymptotic_variance(fock2) - GROUND_VARIANCE
             assert occupations[0] == -w0
         else:
             assert occupations[0] == 2.0
@@ -388,7 +382,7 @@ class TestSubplanckDepth:
 
     def test_fock1_asymptotic_witness(self):
         # blurred twin-peak density loses its variance advantage at 1/4
-        result = subplanck_depth(StateSpec(kind="fock", n=1), asymptotic=True)
+        result = subplanck_depth(realize(StateSpec(kind="fock", n=1)), asymptotic=True)
         assert result.nbar_star == pytest.approx(0.25, abs=1e-3)
         assert result.witness == "subplanck-asymptotic"
 
@@ -396,7 +390,7 @@ class TestSubplanckDepth:
         # finite copies keep min_variance above the limit, so the crossing
         # sits later than the asymptotic root; verify the sign change at the
         # returned bracket rather than trusting the midpoint
-        result = subplanck_depth(StateSpec(kind="fock", n=1))
+        result = subplanck_depth(realize(StateSpec(kind="fock", n=1)))
         assert result.witness == "subplanck-N4"
         lo, hi = result.bracket
         assert hi - lo <= 1e-6
@@ -412,16 +406,50 @@ class TestSubplanckDepth:
         # the centre maximum, refined a hair below x = 0, must keep winning the
         # tie-break up to the depth; the side peak would end the search late
         spec = StateSpec(kind="mixture", populations=TIED_MIXTURE)
-        result = subplanck_depth(spec, asymptotic=True)
+        result = subplanck_depth(realize(spec), asymptotic=True)
         lo, hi = result.bracket
         assert lo - 1e-4 <= REF_DEPTH <= hi + 1e-4
 
     def test_classical_input_rejected(self):
         with pytest.raises(NoSqueezingAtZero):
-            subplanck_depth(StateSpec(kind="fock", n=0), asymptotic=True)
+            subplanck_depth(realize(StateSpec(kind="fock", n=0)), asymptotic=True)
 
-    def test_prethermalized_input_rejected(self):
-        with pytest.raises(NoSqueezingAtZero):
-            subplanck_depth(
-                StateSpec(kind="fock", n=1, thermal_nbar=0.1), asymptotic=True
-            )
+
+# 10^6 draws in 601 bins over the state's default extent.  Over seeds 1-30
+# of Fock 1, 2 and 4 the histogram's asymptotic depth deviated from the
+# state's by a standard deviation of 5.2e-4 (largest 1.4e-3), with the
+# three depths ordered by n at every seed; the bound is 5 of those
+# deviations.  Binning is a box blur of variance h^2/12 (8e-5 to 1.3e-4
+# here), which the noise hides.
+HISTOGRAM_DRAWS = 1_000_000
+HISTOGRAM_BINS = 601
+HISTOGRAM_DEPTH_BOUND = 2.5e-3
+
+
+def histogram_density(spec, seed):
+    """The density a histogram of ``sample_density`` draws of ``spec`` estimates."""
+    extent = default_grid(spec).extent
+    draws = sample_density(realize(spec), HISTOGRAM_DRAWS, seed)
+    counts, edges = np.histogram(draws, bins=HISTOGRAM_BINS, range=(-extent, extent))
+    centres = 0.5 * (edges[1:] + edges[:-1])
+    return make_grid_density(centres, counts / (HISTOGRAM_DRAWS * (edges[1] - edges[0])))
+
+
+class TestMeasuredDepth:
+    def test_histogram_depth_is_near_the_state_depth_and_ordered_by_n(self):
+        stars = []
+        for n in (1, 2, 4):
+            spec = StateSpec(kind="fock", n=n)
+            exact = subplanck_depth(realize(spec), asymptotic=True).nbar_star
+            star = subplanck_depth(histogram_density(spec, seed=0), asymptotic=True).nbar_star
+            assert abs(star - exact) <= HISTOGRAM_DEPTH_BOUND, (n, star, exact)
+            stars.append(star)
+        assert stars[0] < stars[1] < stars[2]
+
+    def test_any_density_is_taken_as_given(self):
+        # the solver blurs what it is handed, so a state realized at nbar 0.1
+        # has 0.1 less depth left than the same state realized cold
+        cold = subplanck_depth(realize(StateSpec(kind="fock", n=1)), asymptotic=True)
+        warm = realize(StateSpec(kind="fock", n=1, thermal_nbar=0.1))
+        result = subplanck_depth(warm, asymptotic=True)
+        assert result.nbar_star == pytest.approx(cold.nbar_star - 0.1, abs=2e-6)

@@ -152,31 +152,6 @@ class TestInverseCdfBitExact:
         assert_matches_interp(xs, cdf, np.array([0.0, tiny, 0.5]))
 
 
-class TestCellMidpoints:
-    """Each guide-table cell's finite midpoint lies within one grid step of
-    every draw in the cell, which is the bound the protocol's squeeze uses."""
-
-    @pytest.mark.parametrize("name", list(INVERSE_CDF_DENSITIES))
-    def test_draws_lie_within_a_step_of_the_midpoint(self, name):
-        p = INVERSE_CDF_DENSITIES[name]()
-        xs, cdf = _cdf_nodes(p)
-        draw = _InverseCdf(xs, cdf)
-        assert np.isnan(draw._mid[draw._wide]).all()
-        assert np.isfinite(draw._mid).mean() > 0.99
-        k = np.arange(draw._cells)
-        u = np.concatenate((
-            [0.0],
-            cdf[cdf < 1.0],
-            k / draw._cells,
-            np.nextafter((k + 1) / draw._cells, 0.0),
-            np.random.default_rng([23, len(name)]).random(1 << 16),
-        ))
-        mid = draw._mid[(u * draw._cells).astype(np.intp)]
-        finite = np.isfinite(mid)
-        reach = p.x_step + 1e-9 * max(abs(p.x_min), abs(p.x_max))
-        assert np.all(np.abs(draw._draw(u[finite]) - mid[finite]) <= reach)
-
-
 class TestSlopeBound:
     """Draws of uniforms u and v lie at least ``min_slope * |u - v|`` apart,
     which is the bound by which the protocol's first layer drops far-apart
@@ -207,13 +182,12 @@ class TestSlopeBound:
         # Fock 1 at eps 0.02: the reach of simulate_protocol at xbar 0
         p = realize(StateSpec(kind="fock", n=1))
         draw = _InverseCdf(*_cdf_nodes(p))
-        reach = math.sqrt(2.0) * 0.02 + 2.0 * p.x_step
+        reach = math.sqrt(2.0) * 0.02
         reach += 1e-9 * (reach + 2.0 * max(abs(p.x_min), abs(p.x_max)))
         assert reach / draw._min_slope < 0.025
 
     def test_no_bound_keeps_every_pair(self):
-        # infinite positions give a NaN slope bound, which prunes nothing;
-        # the reach is wider than every finite midpoint difference
+        # infinite positions give a NaN slope bound, which prunes nothing
         xs = np.array([-np.inf, 0.0, np.inf, np.inf, 3.0, 4.0])
         cdf = np.array([0.0, 0.25, 0.5, 0.75, 0.75, 1.0])
         with np.errstate(all="raise"):
@@ -332,7 +306,7 @@ class TestSimulateProtocol:
 
     @pytest.mark.parametrize("name", list(INVERSE_CDF_DENSITIES))
     def test_squeeze_keeps_every_sample(self, name):
-        # the first layer, pruned on the uniforms' gap and the cell midpoints,
+        # the first layer, pruned on the uniforms' gap,
         # gives the bytes, counts and errors of drawing both batches whole
         p = INVERSE_CDF_DENSITIES[name]()
         draw = _InverseCdf(*_cdf_nodes(p))
