@@ -197,6 +197,31 @@ class TestSlopeBound:
         assert_same_bytes(got, draw._draw(np.random.default_rng(3).random(64)))
 
 
+class TestNearPairs:
+    """``near_pairs`` keeps, in stream order, exactly the pairs whose
+    uniforms lie within the slope bound, and with them every pair whose
+    draws differ from ``shift`` by at most ``reach``: the protocol's squeeze
+    drops no pair that could pass the first window."""
+
+    @pytest.mark.parametrize("name", list(INVERSE_CDF_DENSITIES))
+    def test_keeps_every_pair_within_reach(self, name):
+        p = INVERSE_CDF_DENSITIES[name]()
+        draw = _InverseCdf(*_cdf_nodes(p))
+        count = 3 * _CHUNK + 6
+        seed = [31, len(name)]
+        u = np.random.default_rng(seed).random(count).reshape(-1, 2)
+        x = draw._draw(u.ravel()).reshape(-1, 2)
+        # the reach of simulate_protocol at eps 0.02, centred and off-centre
+        for shift in (0.0, 0.75):
+            reach = math.sqrt(2.0) * 0.02
+            reach += 1e-9 * (reach + abs(shift) + 2.0 * max(abs(p.x_min), abs(p.x_max)))
+            got = draw.near_pairs(np.random.default_rng(seed), count, shift, reach)
+            kept = np.abs(u[:, 0] - u[:, 1]) <= (abs(shift) + reach) / draw._min_slope
+            assert_same_bytes(got, x[kept].ravel())
+            near = np.abs(x[:, 0] - x[:, 1] - shift) <= reach
+            assert near.any() and kept[near].all()
+
+
 class TestSampleDensity:
     def test_ground_moments(self):
         samples = sample_density(realize(StateSpec(kind="fock", n=0)), 1_000_000, seed=1)
