@@ -19,12 +19,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import GridDensity, GridSpec, read_density_csv, write_density_csv
+from .density import GridDensity, read_density_csv, write_density_csv
 from .depth import fano_depth, subplanck_depth, wigner_negativity_depth
 from .distill import (
     DistillConfig,
@@ -87,8 +88,7 @@ class RunConfig:
     density_csv: str | None
     rabi_csv: str | None
     pipeline: DistillConfig
-    grid_extent: float | None
-    grid_nodes: int | None
+    grid: dict
     outputs: dict[str, str]
     seed: int
     rabi_model: RabiModel | None
@@ -185,25 +185,13 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         density_csv=raw.get("density_csv"),
         rabi_csv=raw.get("rabi_csv"),
         pipeline=pipeline,
-        grid_extent=grid.get("extent"),
-        grid_nodes=grid.get("nodes"),
+        grid=grid,
         outputs=outputs,
         seed=args.seed if args.seed is not None else raw.get("seed", 0),
         rabi_model=model,
         oracle=raw.get("oracle", {}),
         sweep=raw.get("sweep", {}),
         depth=raw.get("depth", {}),
-    )
-
-
-def _grid_for(cfg: RunConfig, spec: StateSpec) -> GridSpec | None:
-    """The spec's default grid with the configured extent and nodes, if any is set."""
-    if cfg.grid_extent is None and cfg.grid_nodes is None:
-        return None
-    grid = default_grid(spec)
-    return GridSpec(
-        grid.extent if cfg.grid_extent is None else cfg.grid_extent,
-        grid.nodes if cfg.grid_nodes is None else cfg.grid_nodes,
     )
 
 
@@ -215,16 +203,18 @@ def _fit_from_csv(cfg: RunConfig):
 
 
 def resolve_density(cfg: RunConfig) -> GridDensity:
-    """Turn whichever input source the config names into a density."""
-    if cfg.state is not None:
-        return realize(cfg.state, _grid_for(cfg, cfg.state))
+    """Turn whichever input source the config names into a density; a state or a
+    fitted mixture is realized on its default grid with the grid settings in place."""
     if cfg.density_csv is not None:
         return read_density_csv(cfg.density_csv)
-    if cfg.rabi_csv is not None:
+    if cfg.state is not None:
+        spec = cfg.state
+    elif cfg.rabi_csv is not None:
         fit = _fit_from_csv(cfg)
         spec = StateSpec(kind="mixture", populations=fit.distribution.populations)
-        return realize(spec, _grid_for(cfg, spec))
-    raise ConfigError("config names no input source")
+    else:
+        raise ConfigError("config names no input source")
+    return realize(spec, dataclasses.replace(default_grid(spec), **cfg.grid))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -294,12 +284,15 @@ def _write_samples(path: str, samples: np.ndarray) -> None:
 def cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
     if cfg.pipeline.nonuniversal_prelayers:
         raise ConfigError("pipeline.nonuniversal_prelayers must be 0: oracle runs no prelayer")
-    density = resolve_density(cfg)
-    layers = cfg.pipeline.layers
-    xbar = cfg.pipeline.conditioning_xbar
     # unset keys keep simulate_protocol's defaults
     settings = dict(cfg.oracle)
     samples_csv = settings.pop("samples_csv", None)
+    report_path = args.out and os.path.realpath(args.out)
+    if samples_csv is not None and os.path.realpath(samples_csv) == report_path:
+        raise ConfigError(f"oracle.samples_csv {samples_csv!r} is also the report path")
+    density = resolve_density(cfg)
+    layers = cfg.pipeline.layers
+    xbar = cfg.pipeline.conditioning_xbar
     run = simulate_protocol(density, layers, xbar=xbar, seed=cfg.seed, **settings)
     reference = (
         binary_sequence_distill(density, layers, xbar)
@@ -330,7 +323,8 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
             raise ConfigError(f"--values must be numbers, got {args.values!r}") from None
     if not values:
         raise ConfigError("sweep needs a nonempty list of values")
-    values = sorted(_checked(v, _CONFIG[section][setting], "sweep.values") for v in values)
+    values = [_checked(v, _CONFIG[section][setting], "sweep.values") for v in values]
+    values.sort(key=lambda v: (v != v, v))  # parameter order, NaN last
     with_depth = cfg.sweep.get("with_depth", False)
     if with_depth and parameter == "nbar":
         # the depth is itself an occupation; each point would already be thermal
@@ -344,61 +338,34 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
             f"sweep over {parameter!r} needs a {reader} state, got {cfg.state.kind!r}"
         )
 
-    kept: dict[str, object] = {}
-
-    def per_state(key: str, compute):
-        # a layers_N sweep keeps the state, so the input and its asymptotic
-        # depth are worked out once; a failure is not kept, so it recurs with
-        # the same message at every point
-        if parameter != "layers_N":
-            return compute()
-        if key not in kept:
-            kept[key] = compute()
-        return kept[key]
-
-    def run_point(value: float) -> dict | str:
-        # a ConfigError is the same at every point, so it ends the sweep
-        try:
-            spec, pipeline = cfg.state, cfg.pipeline
-            if section == "state":
-                spec = dataclasses.replace(spec, **{STATE_KEYS[setting][0]: value})
-            else:
-                pipeline = dataclasses.replace(pipeline, **{setting: value})
-            density = per_state(
-                "density", lambda: resolve_density(dataclasses.replace(cfg, state=spec))
-            )
-            report = quantify(density, pipeline)
-            row = {
-                "min_variance": report.min_variance,
-                "squeezing_db": report.squeezing_db,
-                "asymptotic_variance": report.asymptotic_variance,
-                "efficiency": report.efficiency,
-            }
-            if with_depth:
-                row["nbar_star"] = per_state(
-                    "depth", lambda: subplanck_depth(density, pipeline, asymptotic=True).nbar_star
-                )
-            return row
-        except (PreconditionError, SolverError, ValueError) as exc:
-            return f"{type(exc).__name__}: {exc}"
-
     columns = ["min_variance", "squeezing_db", "asymptotic_variance", "efficiency"]
     if with_depth:
         columns.append("nbar_star")
     lines = [",".join([parameter] + columns + ["error"])]
+    # a layers_N sweep keeps the state, so it resolves the input and its depth
+    # once; a failure is not kept, so it recurs with the same message per row
+    density = star = None
     for value in values:
-        row = run_point(value)
-        cell = format(value, ".12g")
-        if isinstance(row, str):
-            lines.append(",".join([cell] + [""] * len(columns) + ['"' + row.replace('"', "'") + '"']))
-        else:
-            lines.append(
-                ",".join(
-                    [cell]
-                    + ["" if row[c] is None else format(row[c], ".12g") for c in columns]
-                    + [""]
-                )
-            )
+        spec, pipeline = cfg.state, cfg.pipeline
+        try:  # a ConfigError is the same at every point, so it ends the sweep
+            if section == "state":
+                spec = dataclasses.replace(spec, **{STATE_KEYS[setting][0]: value})
+                density = star = None
+            else:
+                pipeline = dataclasses.replace(pipeline, **{setting: value})
+            if density is None:
+                density = resolve_density(dataclasses.replace(cfg, state=spec))
+            report = quantify(density, pipeline)
+            row = report.to_dict()
+            if with_depth:
+                if star is None:
+                    star = subplanck_depth(density, pipeline, asymptotic=True).nbar_star
+                row["nbar_star"] = star
+            cells = ["" if row[c] is None else format(row[c], ".12g") for c in columns] + [""]
+        except (PreconditionError, SolverError, ValueError) as exc:
+            error = f"{type(exc).__name__}: {exc}".replace('"', "'")
+            cells = [""] * len(columns) + [f'"{error}"']
+        lines.append(",".join([format(value, ".12g")] + cells))
     _emit("\n".join(lines), args.out)
 
 
@@ -464,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is None:  # no --out: the config's path for this command's output
             args.out = cfg.outputs.get(output)
         handler(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

@@ -816,6 +816,25 @@ class TestOracleCommand:
         assert report["ks_vs_deterministic"] is None
         assert len(samples.read_text().splitlines()) == report["accepted"]
 
+    @pytest.mark.parametrize("report_by", ["outputs", "flag", "flag-absolute"])
+    def test_samples_csv_at_the_report_path(self, tmp_path, capsys, monkeypatch, report_by):
+        monkeypatch.chdir(tmp_path)
+        payload = self.payload()
+        payload["oracle"]["samples_csv"] = "out.csv"
+        flags = []
+        if report_by == "outputs":
+            payload["outputs"] = {"report_json": "out.csv"}
+        elif report_by == "flag":
+            flags = ["--out", "out.csv"]
+        else:  # another spelling of the same file
+            flags = ["--out", str(tmp_path / "out.csv")]
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(["oracle", "--config", cfg, *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: oracle.samples_csv 'out.csv' is also the report path\n"
+        # refused before the protocol runs, so neither file is written
+        assert not (tmp_path / "out.csv").exists()
+
     def test_too_many_layers(self, tmp_path, capsys):
         payload = self.payload()
         payload["pipeline"] = {"layers": 5}
@@ -1010,6 +1029,41 @@ class TestSweepCommand:
         )
         assert calls == {"fit_populations": 1, "subplanck_depth": 1}
 
+    def test_a_failed_depth_is_not_kept(self, tmp_path, capsys, monkeypatch):
+        # Fock 0 resolves once, but its depth fails; the failure recurs per row
+        calls = {"realize": 0, "subplanck_depth": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(cli, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        payload = {
+            "state": {"kind": "fock", "n": 0},
+            "sweep": {"parameter": "layers_N", "values": [1, 2], "with_depth": True},
+        }
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(["sweep", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        error = '"NoSqueezingAtZero: witness is already classical at nbar = 0 (0.500000)"'
+        assert out.splitlines()[1:] == [f"1,,,,,,{error}", f"2,,,,,,{error}"]
+        assert calls == {"realize": 1, "subplanck_depth": 2}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nan_value_sorts_last(self, tmp_path, capsys, source):
+        payload = {"state": {"kind": "cat", "alpha": 2.0}, "pipeline": {"layers": 1}}
+        flags = ["--parameter", "alpha", "--values", "2,nan,1"]
+        if source == "config":
+            payload["sweep"] = {"parameter": "alpha", "values": [2.0, float("nan"), 1.0]}
+            flags = []
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli(["sweep", "--config", cfg, *flags], capsys)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "nan"]
+        assert rows[0].endswith(",") and rows[1].endswith(",")
+        assert rows[2] == 'nan,,,,,"InvalidStateSpec: alpha must be finite, got nan"'
+
     def test_config_error_ends_the_sweep(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         cfg = write_config(tmp_path, {"density_csv": str(missing)})
@@ -1088,6 +1142,24 @@ class TestSweepCommand:
             ["sweep", "--config", cfg, "--parameter", "fock_n"], capsys
         )
         assert code == 2  # values missing
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("writer", ["emit", "density_csv", "samples"])
+    def test_missing_directory_is_a_config_error(self, tmp_path, capsys, writer):
+        # one writer each: _emit (--out), write_density_csv, _write_samples
+        path = tmp_path / "no" / "such" / "out.csv"
+        payload = {"state": {"kind": "fock", "n": 1}, "pipeline": {"layers": 1}}
+        command = {"emit": "quantify", "density_csv": "export-density", "samples": "oracle"}[writer]
+        flags = ["--out", str(path)]
+        if writer == "samples":
+            payload["oracle"] = {"eps": 0.05, "batches": 1, "samples_csv": str(path)}
+            flags = []
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run_cli([command, "--config", cfg, *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and str(path) in err
+        assert err.count("\n") == 1
 
 
 class TestReadmeExample:
